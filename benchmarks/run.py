@@ -1,6 +1,6 @@
 """Benchmark of the graphheat command line, run from the root of a checkout.
 
-    python3 benchmarks/run.py --workload spectral --seed 1 --seconds 30 --trace 0
+    python3 benchmarks/run.py --workload spectral --seed 1 --seconds 40 --trace 0
 
 With ``--trace 0`` every CLI call is its own process, one after another (a
 closed loop with one client), and the run repeats whole rounds of the
@@ -48,14 +48,28 @@ import workloads  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
-# What the console script generated from ``graphheat = "graphheat.cli:main"`` runs.
-ENTRY = "import sys; from graphheat.cli import main; sys.exit(main())"
+# What the console script generated from ``graphheat = "graphheat.cli:main"``
+# runs, followed by the process's own peak resident set (``VmHWM``) on stderr.
+# The child's rusage cannot give that figure: Linux carries the resident
+# high-water mark of the process that forked it, this benchmark, across exec.
+ENTRY = (
+    "import sys\n"
+    "try:\n"
+    "    from graphheat.cli import main\n"
+    "    sys.exit(main())\n"
+    "finally:\n"
+    "    try:\n"
+    "        with open('/proc/self/status', encoding='ascii') as fh:\n"
+    "            sys.stderr.write(''.join(line for line in fh if line.startswith('VmHWM:')))\n"
+    "    except OSError:\n"
+    "        pass\n"
+)
 SETUP = (
     "import sys; import graphheat.cli as cli\n"
     "for path in sys.argv[1:]:\n"
     "    with open(path, encoding='utf-8') as fh: cli.parse_edge_list(fh.read())\n"
 )
-SETUP_PER_ROUND = 3
+SETUP_PER_ROUND = 1
 CALL_TIMEOUT_S = 150
 
 END_TO_END = (
@@ -86,7 +100,15 @@ def run_process(argv: list[str], workdir: Path) -> tuple[bytes, int, float, int]
             timer.cancel()
         elapsed = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(wstatus)
-    return out_path.read_bytes(), proc.returncode, elapsed, usage.ru_maxrss
+    return out_path.read_bytes(), proc.returncode, elapsed, peak_kib(err_path.read_bytes(), usage)
+
+
+def peak_kib(stderr: bytes, usage) -> int:
+    """The child's own ``VmHWM`` from the last line ENTRY wrote, else its rusage."""
+    for line in reversed(stderr.splitlines()):
+        if line.startswith(b"VmHWM:"):
+            return int(line.split()[1])
+    return usage.ru_maxrss
 
 
 def measure_setup(paths: list[Path], workdir: Path) -> float:
@@ -160,27 +182,36 @@ def check_rounds(wl: workloads.Workload, rounds: list[Round]) -> tuple[oracle.Ou
 
 
 def timing_report(wl: workloads.Workload, rounds: list[Round]) -> dict[str, float]:
-    """Sums of per-call medians over rounds: per subcommand, weighted calls, all calls."""
-    medians = [statistics.median(r.seconds[i] for r in rounds) for i in range(len(wl.calls))]
+    """Per-call mean times over rounds, summed per subcommand, over the
+    weighted calls and over all calls (the mean wall time of a round).
+
+    The host slows calls down by up to a half, in phases that last from
+    seconds to minutes.  Over runs of the same code, the mean over a whole
+    run spread less from run to run than per-call medians, fastest rounds or
+    the mean of the faster half did.
+    """
+    per_call = [statistics.fmean(r.seconds[i] for r in rounds) for i in range(len(wl.calls))]
     weighted = {g.name for g in wl.graphs if g.weighted}
     report: dict[str, float] = {}
-    for call, m in zip(wl.calls, medians):
+    for call, m in zip(wl.calls, per_call):
         report[f"{call.subcommand}_s"] = report.get(f"{call.subcommand}_s", 0.0) + m
-    report["weighted_s"] = sum(m for c, m in zip(wl.calls, medians) if c.graph in weighted)
-    report["wall_s"] = sum(medians)
+    report["weighted_s"] = sum(m for c, m in zip(wl.calls, per_call) if c.graph in weighted)
+    report["wall_s"] = sum(per_call)
     return report
 
 
 def run_untraced(wl, paths, workdir, seconds) -> tuple[dict, list[Round], dict]:
     """Rounds of CLI processes until ``seconds`` have passed.
 
-    Set-up is sampled before every round, so that its median, like the
-    per-call medians, spreads over the whole run.
+    The first round warms the file cache and is not timed; its outputs are
+    checked and counted like the others.  Set-up is sampled before every
+    timed round, so that its median spreads over the whole run.
     """
     graph_paths = [paths[g.name] for g in wl.graphs]
+    start = time.perf_counter()
+    warm_up = subprocess_round(wl, paths, workdir)
     setup: list[float] = []
     rounds: list[Round] = []
-    start = time.perf_counter()
     while not rounds or time.perf_counter() - start < seconds:
         setup += [measure_setup(graph_paths, workdir) for _ in range(SETUP_PER_ROUND)]
         rounds.append(subprocess_round(wl, paths, workdir))
@@ -191,7 +222,7 @@ def run_untraced(wl, paths, workdir, seconds) -> tuple[dict, list[Round], dict]:
         "weighted_s": times["weighted_s"],
         "peak_rss_mib": max(max(r.rss_kib) for r in rounds) / 1024.0,
     }
-    return metrics, rounds, times
+    return metrics, [warm_up, *rounds], times
 
 
 def run_traced(wl, paths, seconds, spans_path: Path) -> tuple[dict, list[Round], dict, list[str]]:

@@ -143,6 +143,37 @@ def test_generator_is_byte_identical_per_seed(name):
     assert [len(x.argv) for x in a.calls] == [len(x.argv) for x in c.calls]
 
 
+def _weighted_degrees(text: str) -> list[tuple[int, str]]:
+    degree: Counter = Counter()
+    weights: dict[str, list[str]] = {}
+    for line in text.splitlines():
+        u, v, *w = line.split()
+        for x in (u, v):
+            degree[x] += 1
+            weights.setdefault(x, []).extend(w)
+    return sorted((degree[x], " ".join(sorted(weights[x]))) for x in degree)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_seed_relabels_the_same_graphs(name):
+    """Seeds change the files but not the graphs, so not the work of a run."""
+    a, b = workloads.build(name, 7), workloads.build(name, 8)
+    for ga, gb in zip(a.graphs, b.graphs):
+        assert _weighted_degrees(ga.text) == _weighted_degrees(gb.text)
+        assert (ga.text == gb.text) == ga.name.startswith("grid")
+
+
+def test_peak_rss_is_the_childs_own(tmp_path):
+    _, status, _, kib = run.run_process([sys.executable, "-c", run.ENTRY, "--help"], tmp_path)
+    assert status == 0
+    hwm = next(line for line in (tmp_path / "stderr").read_bytes().splitlines()
+               if line.startswith(b"VmHWM:"))
+    assert kib == int(hwm.split()[1])
+    usage = type("Usage", (), {"ru_maxrss": 77})()
+    assert run.peak_kib(b"VmHWM:\t   1234 kB\n", usage) == 1234
+    assert run.peak_kib(b"", usage) == 77
+
+
 def test_traced_and_untraced_bytes_match(paths, tmp_path):
     untraced = run.subprocess_round(SMALL, paths, tmp_path)
     tracer = tracing.Tracer()

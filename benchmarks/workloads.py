@@ -1,16 +1,21 @@
 """Seeded benchmark inputs: graph generators and the three workloads.
 
-Every graph is written as edge-list text by the generators here, from a
-``random.Random`` seeded with a string made of the workload name, the run
-seed and the graph name, so the same seed gives the same bytes.  Nothing is
+Every graph is written as edge-list text by the generators here.  Nothing is
 imported from the package or from its test corpus.
 
-The random graphs have a fixed vertex count, edge count and weight multiset,
-and no isolated vertex, so each workload attempts the same number of
-operations on every seed and its work varies with the seed only through the
-graphs' shape.  The graphs whose
-``estimate`` rows fail because of a known fault in the estimator (the grids)
-do not depend on the seed either.
+The grids do not depend on the seed; they hold the ``estimate`` rows that
+fail because of a known fault in the estimator.  Every other graph is a
+fixed random graph (fixed vertex count, edge count and weight multiset, no
+isolated vertex, made from a ``random.Random`` seeded with the workload and
+graph names), which ``relabel_text`` then relabels, reorders and re-orients
+with a ``random.Random`` seeded with the workload name, the run seed and the
+graph name.  So the same seed gives the same bytes, every seed gives a
+different input file, vertex numbering and pair selection, and the work of a
+run does not change with the seed.  Graphs redrawn for every seed changed
+the work itself: the uniformization rate (the largest weighted degree) of a
+weighted 600-vertex graph, and with it the number of Poisson terms, ranged
+from 14.5 to 18.8 over eight seeds, and the exact layers' ``Fraction`` sizes
+follow where the weights fall.
 """
 
 from __future__ import annotations
@@ -56,6 +61,10 @@ class Workload:
 
 def _rng(workload: str, seed: int, graph: str) -> random.Random:
     return random.Random(f"{workload}:{seed}:{graph}")
+
+
+def _fixed_rng(workload: str, graph: str) -> random.Random:
+    return random.Random(f"{workload}:{graph}")
 
 
 def grid_text(rows: int, cols: int, prefix: str = "g") -> str:
@@ -121,6 +130,28 @@ def two_component_text(n_a: int, m_a: int, n_b: int, m_b: int, rng: random.Rando
     return "\n".join(lines) + "\n"
 
 
+def relabel_text(text: str, rng: random.Random) -> str:
+    """The same graph with its labels permuted within each label prefix,
+    its edge lines shuffled and each edge's endpoints in random order."""
+    lines = [line.split() for line in text.splitlines() if line]
+    labels = sorted({v for line in lines for v in line[:2]})
+    groups: dict[str, list[str]] = {}
+    for v in labels:
+        groups.setdefault(v.rstrip("0123456789"), []).append(v)
+    mapping = {}
+    for group in groups.values():
+        image = group[:]
+        rng.shuffle(image)
+        mapping.update(zip(group, image))
+    out = []
+    for u, v, *weight in lines:
+        ends = [mapping[u], mapping[v]]
+        rng.shuffle(ends)
+        out.append(" ".join(ends + weight))
+    rng.shuffle(out)
+    return "\n".join(out) + "\n"
+
+
 def _pairs_flags(rng: random.Random, n: int, k: int, prefix: str) -> tuple[str, ...]:
     """k random pairs of distinct vertices, then the first one reversed."""
     pairs = [rng.sample(range(n), 2) for _ in range(k)]
@@ -128,51 +159,54 @@ def _pairs_flags(rng: random.Random, n: int, k: int, prefix: str) -> tuple[str, 
     return tuple(a for u, v in pairs for a in ("--pair", f"{prefix}{u}", f"{prefix}{v}"))
 
 
+def _relabelled(workload: str, seed: int, graph: str, text: str, weighted: bool) -> GraphInput:
+    return GraphInput(graph, relabel_text(text, _rng(workload, seed, graph)), weighted)
+
+
+def _weighted_gnm(workload: str, seed: int, n: int, m: int) -> GraphInput:
+    """Graph ``wgnm<n>``: a fixed weighted random graph, relabelled by the seed."""
+    graph = f"wgnm{n}"
+    return _relabelled(workload, seed, graph, gnm_text(n, m, _fixed_rng(workload, graph), True), True)
+
+
 def spectral_workload(seed: int) -> Workload:
     name = "spectral"
     graphs = (
-        GraphInput("grid10", grid_text(10, 10), False),
-        GraphInput("wgnm100", gnm_text(100, 240, _rng(name, seed, "wgnm100"), True), True),
-        GraphInput("wgnm70", gnm_text(70, 170, _rng(name, seed, "wgnm70"), True), True),
+        GraphInput("grid8", grid_text(8, 8), False),
+        _weighted_gnm(name, seed, 64, 150),
     )
     times = ("--t", "0.1", "--t", "1")
     calls = (
-        Call("grid10", ("spectrum",)),
-        Call("grid10", ("kernel", *times)),
-        Call("grid10", ("estimate",)),
-        Call("wgnm100", ("spectrum",)),
-        Call("wgnm100", ("kernel", *times)),
-        Call("wgnm70", ("spectrum",)),
-        Call("wgnm70", ("kernel", *times)),
+        Call("grid8", ("spectrum",)),
+        Call("grid8", ("kernel", *times)),
+        Call("grid8", ("estimate",)),
+        Call("wgnm64", ("spectrum",)),
+        Call("wgnm64", ("kernel", *times)),
     )
     return Workload(name, graphs, calls)
 
 
 def exact_workload(seed: int) -> Workload:
     name = "exact"
-    two = two_component_text(40, 60, 30, 40, _rng(name, seed, "two40_30"))
+    two = two_component_text(40, 60, 30, 40, _fixed_rng(name, "two40_30"))
     graphs = (
+        GraphInput("grid8", grid_text(8, 8), False),
         GraphInput("grid10", grid_text(10, 10), False),
-        GraphInput("grid12", grid_text(12, 12), False),
-        GraphInput("grid20", grid_text(20, 20), False),
-        GraphInput("wgnm24", gnm_text(24, 55, _rng(name, seed, "wgnm24"), True), True),
-        GraphInput("wgnm60", gnm_text(60, 140, _rng(name, seed, "wgnm60"), True), True),
-        GraphInput("two40_30", two, False),
+        _weighted_gnm(name, seed, 16, 36),
+        _weighted_gnm(name, seed, 40, 95),
+        _relabelled(name, seed, "two40_30", two, False),
     )
     pair_rng = _rng(name, seed, "pairs")
     pairs = ("--pair", "a0", "b0", *_pairs_flags(pair_rng, 30, 4, "b"))
     calls = (
-        Call("grid10", ("series",)),
-        Call("wgnm24", ("series",)),
-        Call("grid12", ("verify",)),
-        Call("wgnm60", ("verify",)),
-        Call("two40_30", ("verify",)),
+        Call("grid8", ("series",)),
+        Call("wgnm16", ("series",)),
+        Call("grid10", ("verify",)),
+        Call("wgnm40", ("verify",)),
         Call("two40_30", ("verify", *pairs)),
-        Call("grid20", ("paths",)),
         Call("two40_30", ("paths",)),
-        Call("grid12", ("bipartite",)),
-        Call("wgnm60", ("bipartite",)),
-        Call("two40_30", ("bipartite",)),
+        Call("grid10", ("bipartite",)),
+        Call("wgnm40", ("bipartite",)),
     )
     return Workload(name, graphs, calls)
 
@@ -183,20 +217,16 @@ def uniformization_workload(seed: int) -> Workload:
     # depend on the seed.
     name = "uniformization"
     graphs = (
-        GraphInput("grid14", grid_text(14, 14), False),
-        GraphInput("grid10x20", grid_text(10, 20), False),
-        GraphInput("gnm300", gnm_text(300, 900, _rng(name, seed, "gnm300")), False),
-        GraphInput("wgnm1000", gnm_text(1000, 2500, _rng(name, seed, "wgnm1000"), True), True),
-        GraphInput("wgnm300", gnm_text(300, 900, _rng(name, seed, "wgnm300"), True), True),
+        GraphInput("grid12", grid_text(12, 12), False),
+        _weighted_gnm(name, seed, 200, 600),
+        _weighted_gnm(name, seed, 500, 1250),
     )
     unif = ("--method", "uniformization")
-    pairs = _pairs_flags(_rng(name, seed, "pairs"), 1000, 4, "v")
+    pairs = _pairs_flags(_rng(name, seed, "pairs"), 500, 4, "v")
     calls = (
-        Call("grid14", ("estimate", *unif)),
-        Call("grid10x20", ("estimate", *unif)),
-        Call("gnm300", ("kernel", *unif, "--t", "0.5", "--t", "2")),
-        Call("wgnm1000", ("kernel", *unif, "--t", "0.5", "--t", "1", *pairs)),
-        Call("wgnm300", ("kernel", *unif, "--t", "0.5", "--t", "2")),
+        Call("grid12", ("estimate", *unif)),
+        Call("wgnm200", ("kernel", *unif, "--t", "0.5", "--t", "2")),
+        Call("wgnm500", ("kernel", *unif, "--t", "0.5", "--t", "1", *pairs)),
     )
     return Workload(name, graphs, calls)
 
