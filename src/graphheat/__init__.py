@@ -7,8 +7,6 @@ counts from kernel samples alone.
 """
 
 from .errors import (
-    ConvergenceError,
-    DegenerateGraphError,
     DuplicateEdgeError,
     EdgeListError,
     GraphHeatError,
@@ -31,7 +29,6 @@ from .graphs import (
 from .kernels import (
     DEFAULT_EPS,
     HeatKernel,
-    kernel_entry,
     kernel_spectral,
     kernel_uniformization,
 )
@@ -68,8 +65,6 @@ from .varadhan import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError",
-    "DegenerateGraphError",
     "DuplicateEdgeError",
     "EdgeListError",
     "GraphHeatError",
@@ -88,7 +83,6 @@ __all__ = [
     "parse_edge_list",
     "DEFAULT_EPS",
     "HeatKernel",
-    "kernel_entry",
     "kernel_spectral",
     "kernel_uniformization",
     "SeriesPrefix",

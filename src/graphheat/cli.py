@@ -2,9 +2,12 @@
 
 Every subcommand reads one graph file, writes one CSV report (stdout by
 default), and exits 0 on success, 1 when a verification verdict failed, or
-2 on input errors.  Output is deterministic byte-for-byte for a fixed input
-and flag set: orderings are stable and floats print in shortest round-trip
-form.
+2 on input errors.  Output is deterministic byte-for-byte for a fixed input,
+flag set and BLAS thread count: orderings are stable and floats print in
+shortest round-trip form.  The eigendecomposition and the kernel products
+run in BLAS/LAPACK, whose results can differ in the last bits between thread
+counts; ``estimate`` rows read thresholds off such values and can then
+change too.
 """
 
 from __future__ import annotations

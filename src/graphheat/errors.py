@@ -29,18 +29,9 @@ class DuplicateEdgeError(EdgeListError):
 
 
 class WeightError(EdgeListError):
-    """Edge weight is unparsable or not strictly positive."""
+    """Edge weight is unparsable, not strictly positive, or not a positive finite float.
 
-
-class ConvergenceError(GraphHeatError):
-    """The eigensolver failed to reach tolerance within its sweep cap."""
-
-
-class DegenerateGraphError(GraphHeatError):
-    """An edgeless graph where the uniformization shift is undefined.
-
-    Kept for API completeness: the kernel engines short-circuit edgeless
-    graphs to the identity for t >= 0, so no current code path raises this.
+    Also raised for a weighted degree that is not a finite float.
     """
 
 

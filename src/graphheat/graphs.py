@@ -8,6 +8,7 @@ weights are :class:`fractions.Fraction`.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,9 +165,12 @@ def parse_edge_list(text: str) -> Graph:
     (``1.5``) or a ratio (``3/2``) and is parsed exactly — ``1.5`` becomes
     the rational 3/2, never a binary float.
 
+    A weight must also keep a positive finite float value, and so must the
+    largest weighted degree, because the float engines see only that value.
+
     Raises :class:`ParseError`, :class:`SelfLoopError`,
     :class:`DuplicateEdgeError` or :class:`WeightError`, each carrying the
-    offending line number.
+    offending line number (none for a weighted degree, which spans lines).
     """
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -208,15 +212,39 @@ def parse_edge_list(text: str) -> Graph:
                 raise WeightError(f"cannot parse weight {parts[2]!r}", lineno) from None
             if w <= 0:
                 raise WeightError(f"edge weight must be positive, got {parts[2]}", lineno)
+            if not _is_float_representable(w):
+                raise WeightError(
+                    f"edge weight {parts[2]} is not a positive finite float", lineno
+                )
             weights[key] = w
             any_weight = True
 
-    return Graph(
+    g = Graph(
         len(labels),
         edges,
         weights=weights if any_weight else None,
         labels=labels,
     )
+    if g.is_weighted:
+        heaviest = max(range(g.n), key=g.weighted_degree)
+        if not _is_float_representable(g.weighted_degree(heaviest)):
+            raise WeightError(
+                f"weighted degree of vertex {g.labels[heaviest]!r} is not a finite float"
+            )
+    return g
+
+
+def _is_float_representable(q: Fraction) -> bool:
+    """Whether a positive rational keeps a positive finite float value.
+
+    The spectral and uniformization engines see only that float; a weight
+    that underflows to 0 would silently drop its edge there, and one past
+    the float range overflows.
+    """
+    try:
+        return 0.0 < float(q) < math.inf
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .spectral import SpectralDecomposition, eigendecompose, kirchhoff_matrix
+from .spectral import SpectralDecomposition, kirchhoff_matrix
 
 #: Default truncation bound on the neglected Poisson tail mass.
 DEFAULT_EPS = 1e-12
@@ -117,19 +117,3 @@ def kernel_uniformization(g: Graph, t: float, eps: float = DEFAULT_EPS) -> HeatK
         K = 0.5 * (K + K.T)  # average of two nonnegative matrices stays nonnegative
     K.setflags(write=False)
     return HeatKernel(float(t), K, "uniformization")
-
-
-def kernel_entry(
-    g: Graph, t: float, x: int, y: int, method: str = "spectral", eps: float = DEFAULT_EPS
-) -> float:
-    """One kernel entry ``p_t(x, y)``, building the kernel from scratch.
-
-    Convenience for one-off queries; batch callers should build the kernel
-    (or a sampler) once and reuse it.
-    """
-    if method == "spectral":
-        dec = eigendecompose(kirchhoff_matrix(g))
-        return kernel_spectral(dec, t).entry(x, y)
-    if method == "uniformization":
-        return kernel_uniformization(g, t, eps).entry(x, y)
-    raise ValueError(f"unknown method {method!r}")

@@ -95,9 +95,9 @@ def leading_order(g: Graph, x: int, y: int) -> tuple[int, Fraction]:
 
     Returns ``(d, c)`` where d is the graph distance and
     ``c = (geodesic weight) / d!`` is strictly positive.  Both facts are
-    cross-checked against an independent BFS before returning.  Raises
-    :class:`UnreachableError` if no power up to n reaches y — i.e. the pair
-    spans two components.
+    cross-checked against an independent BFS before returning; a mismatch
+    raises :class:`RuntimeError`.  Raises :class:`UnreachableError` if no
+    power up to n reaches y — i.e. the pair spans two components.
     """
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError(f"vertex pair ({x}, {y}) out of range for {g.n} vertices")
@@ -107,10 +107,12 @@ def leading_order(g: Graph, x: int, y: int) -> tuple[int, Fraction]:
         if u[y] != 0:
             c = Fraction(u[y], math.factorial(k))
             profile = bfs_profile(g, x)
-            assert profile.dist[y] == k, (
-                f"first nonzero coefficient at order {k}, BFS distance {profile.dist[y]}"
-            )
-            assert c > 0, f"leading coefficient must be positive, got {c}"
+            if profile.dist[y] != k:
+                raise RuntimeError(
+                    f"first nonzero coefficient at order {k}, BFS distance {profile.dist[y]}"
+                )
+            if c <= 0:
+                raise RuntimeError(f"leading coefficient must be positive, got {c}")
             return k, c
         u = laplacian_apply(g, u)
     raise UnreachableError(

@@ -8,34 +8,22 @@ at the reporting boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .graphs import Graph
-
-# Convergence: off-diagonal Frobenius norm below this multiple of ||L||_F.
-JACOBI_TOL_FACTOR = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
 class KirchhoffMatrix:
-    """Dense ``A - D`` with exact rational entries and a float shadow.
+    """Dense ``A - D`` as a read-only float64 array, used by the numeric engines."""
 
-    ``exact[i][j]`` is an int (unweighted) or Fraction; ``dense`` is the
-    read-only float64 view used by the numeric engines.
-    """
-
-    exact: tuple[tuple[int | Fraction, ...], ...]
     dense: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.exact)
+        return int(self.dense.shape[0])
 
     @property
     def frobenius(self) -> float:
@@ -44,21 +32,15 @@ class KirchhoffMatrix:
 
 def kirchhoff_matrix(g: Graph) -> KirchhoffMatrix:
     """Build ``A - D`` for a graph; diagonal entries are minus the weighted degree."""
-    n = g.n
-    rows: list[tuple] = []
-    for v in range(n):
-        row: list = [0] * n
-        for nbr, w in zip(g.neighbors(v), g.neighbor_weights(v)):
-            row[nbr] = w if g.is_weighted else 1
-        row[v] = -g.weighted_degree(v)
-        rows.append(tuple(row))
-    dense = np.zeros((n, n), dtype=float)
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            if e:
-                dense[i, j] = float(e)
+    dense = np.zeros((g.n, g.n))
+    weights = g.weights or {}
+    for u, v in g.edges:
+        dense[u, v] = dense[v, u] = float(weights.get((u, v), 1))
+    for v in range(g.n):
+        # Negate before converting so an isolated vertex gets +0.0, not -0.0.
+        dense[v, v] = float(-g.weighted_degree(v))
     dense.setflags(write=False)
-    return KirchhoffMatrix(tuple(rows), dense)
+    return KirchhoffMatrix(dense)
 
 
 @dataclass(frozen=True)
@@ -69,7 +51,7 @@ class SpectralDecomposition:
     and column ``V[:, k]`` is the unit eigenvector for ``mu[k]``.  Signs are
     normalized: the largest-magnitude entry of each column is positive (ties
     broken by lowest index), which makes the decomposition reproducible
-    bit-for-bit across runs.
+    bit-for-bit across runs with the same BLAS thread count.
     """
 
     mu: np.ndarray
@@ -85,77 +67,17 @@ class SpectralDecomposition:
         return -self.mu
 
 
-def _offdiag_norm(A: np.ndarray) -> float:
-    # Norm of the off-diagonal part only; subtracting two large near-equal
-    # sums here would drown the answer in cancellation noise.
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-def _rotate(A: np.ndarray, V: np.ndarray, p: int, q: int, c: float, s: float) -> None:
-    # A <- J^T A J and V <- V J for the Givens rotation J in the (p, q) plane.
-    ap = A[:, p].copy()
-    aq = A[:, q].copy()
-    A[:, p] = c * ap - s * aq
-    A[:, q] = s * ap + c * aq
-    ap = A[p, :].copy()
-    aq = A[q, :].copy()
-    A[p, :] = c * ap - s * aq
-    A[q, :] = s * ap + c * aq
-    A[p, q] = 0.0  # zero by construction; assign to kill the rounding residue
-    A[q, p] = 0.0
-    vp = V[:, p].copy()
-    vq = V[:, q].copy()
-    V[:, p] = c * vp - s * vq
-    V[:, q] = s * vp + c * vq
-
-
 def eigendecompose(L: KirchhoffMatrix) -> SpectralDecomposition:
-    """Cyclic Jacobi eigendecomposition of the symmetric Kirchhoff matrix.
+    """Symmetric eigendecomposition of the Kirchhoff matrix (LAPACK ``eigh``).
 
-    Sweeps the strict upper triangle in row order, annihilating each pivot
-    with a Givens rotation, until the off-diagonal Frobenius norm drops below
-    ``JACOBI_TOL_FACTOR * ||L||_F``.  Convergence is quadratic once sweeps
-    start landing, so the cap of ``JACOBI_MAX_SWEEPS`` is generous; hitting
-    it raises :class:`ConvergenceError` rather than returning junk.
+    A LAPACK failure raises :class:`numpy.linalg.LinAlgError`, a
+    :class:`ValueError`.
     """
-    A = np.array(L.dense, dtype=float)
-    n = A.shape[0]
-    V = np.eye(n)
-    tol = JACOBI_TOL_FACTOR * float(np.linalg.norm(A))
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(A) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = float(A[p, q])
-                if apq == 0.0:
-                    continue
-                delta = float(A[q, q] - A[p, p])
-                if abs(delta) > 1e16 * abs(apq):
-                    # Rotation angle below roundoff; apq/delta also cannot
-                    # overflow where the full tau = delta/(2 apq) would.
-                    t = apq / delta
-                else:
-                    # Stable small-angle root of t^2 + 2*tau*t - 1 = 0.
-                    tau = delta / (2.0 * apq)
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                _rotate(A, V, p, q, c, t * c)
-    else:
-        final = _offdiag_norm(A)
-        if final > tol:
-            raise ConvergenceError(
-                f"Jacobi sweeps exhausted: off-diagonal norm {final:.3e} > tol {tol:.3e}"
-            )
-
-    mu = np.diag(A).copy()
+    mu, V = np.linalg.eigh(L.dense)
     order = np.argsort(-mu, kind="stable")
     mu = mu[order]
     V = np.ascontiguousarray(V[:, order])
-    for k in range(n):
+    for k in range(mu.shape[0]):
         col = V[:, k]
         lead = int(np.argmax(np.abs(col)))
         if col[lead] < 0:

@@ -174,7 +174,8 @@ def weighted_leading(g: Graph, x: int, y: int) -> Fraction:
     """Sum over geodesics of the product of edge weights along each.
 
     Computed by the BFS layer recurrence and cross-checked exactly against
-    ``d! * c_d`` from the coefficient recursion before returning.
+    ``d! * c_d`` from the coefficient recursion before returning; a mismatch
+    raises :class:`RuntimeError`.
     """
     profile = bfs_profile(g, x)
     d = profile.dist[y]
@@ -184,10 +185,11 @@ def weighted_leading(g: Graph, x: int, y: int) -> Fraction:
         )
     total = profile.geodesic_weight[y]
     c_d = kernel_taylor_coefficient(g, x, y, d)
-    assert c_d * math.factorial(d) == total, (
-        f"geodesic weight mismatch: recursion gives {c_d * math.factorial(d)}, "
-        f"BFS gives {total}"
-    )
+    if c_d * math.factorial(d) != total:
+        raise RuntimeError(
+            f"geodesic weight mismatch: recursion gives {c_d * math.factorial(d)}, "
+            f"BFS gives {total}"
+        )
     return Fraction(total)
 
 

@@ -139,3 +139,20 @@ def random_weighted_graph(seed: int, n: int, p: float) -> Graph:
     rng = random.Random(seed ^ 0x5EED)
     weights = {e: rng.choice(WEIGHT_POOL) for e in base.edges}
     return Graph(base.n, base.edges, weights=weights)
+
+
+def kirchhoff_exact(g: Graph) -> tuple[tuple[int | Fraction, ...], ...]:
+    """Exact ``A - D`` as rows of ints (unweighted) or Fractions.
+
+    Test-only oracle for the float matrix the numeric engines build: built
+    from the neighbour lists, one row per vertex, with minus the weighted
+    degree on the diagonal.
+    """
+    rows = []
+    for v in range(g.n):
+        row: list = [0] * g.n
+        for nbr, w in zip(g.neighbors(v), g.neighbor_weights(v)):
+            row[nbr] = w if g.is_weighted else 1
+        row[v] = -g.weighted_degree(v)
+        rows.append(tuple(row))
+    return tuple(rows)

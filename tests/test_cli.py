@@ -363,6 +363,38 @@ def test_bad_weight_value_reported(capsys, tmp_path):
     assert "weight" in err
 
 
+FLOAT_ENGINE_COMMANDS = (["spectrum"], ["kernel", "--t", "0.1"], ["estimate"])
+
+
+def rejected_graph_stderr(capsys, tmp_path, command, text):
+    p = tmp_path / "g.txt"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, [command[0], "--graph", str(p), *command[1:]])
+    assert code == 2
+    assert out == ""
+    return err
+
+
+@pytest.mark.parametrize("command", FLOAT_ENGINE_COMMANDS, ids=lambda c: c[0])
+def test_weight_underflowing_to_zero_rejected(capsys, tmp_path, command):
+    # its float value is 0, which would drop the edge from the float engines
+    err = rejected_graph_stderr(capsys, tmp_path, command, "a b 1e-400\nb c\n")
+    assert "line 1" in err and "weight" in err
+
+
+@pytest.mark.parametrize("command", FLOAT_ENGINE_COMMANDS, ids=lambda c: c[0])
+def test_weight_overflowing_float_rejected(capsys, tmp_path, command):
+    err = rejected_graph_stderr(capsys, tmp_path, command, "a b\nb c 1e400\n")
+    assert "line 2" in err and "weight" in err
+
+
+@pytest.mark.parametrize("command", FLOAT_ENGINE_COMMANDS, ids=lambda c: c[0])
+def test_weighted_degree_overflowing_float_rejected(capsys, tmp_path, command):
+    # each weight is a finite float, their sum at b is not
+    err = rejected_graph_stderr(capsys, tmp_path, command, "a b 1e308\nb c 1e308\n")
+    assert "degree" in err and "'b'" in err
+
+
 def test_missing_required_t_flag(grid_file):
     with pytest.raises(SystemExit) as exc_info:
         main(["kernel", "--graph", grid_file])
@@ -419,3 +451,55 @@ def test_console_script_smoke(grid_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == "x,y,d,count\na0,b2,3,3\n"
+
+
+# --- determinism across runs and BLAS thread counts ---------------------------
+
+
+def run_with_blas_threads(threads: int, argv: list[str]) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from graphheat.cli import main; sys.exit(main())",
+         *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def assert_rows_agree(a: str, b: str, tol: float) -> None:
+    rows_a = [line.split(",") for line in a.splitlines()]
+    rows_b = [line.split(",") for line in b.splitlines()]
+    assert len(rows_a) == len(rows_b)
+    assert rows_a[0] == rows_b[0]
+    for ra, rb in zip(rows_a[1:], rows_b[1:]):
+        assert ra[:-1] == rb[:-1]
+        assert float(ra[-1]) == pytest.approx(float(rb[-1]), rel=0, abs=tol)
+
+
+def test_output_bytes_fixed_per_blas_thread_count(tmp_path):
+    g = corpus.random_weighted_graph(0, 100, 0.05)
+    p = tmp_path / "weighted100.txt"
+    p.write_text(
+        "".join(f"v{u} v{v} {g.weights[(u, v)]}\n" for u, v in g.edges), encoding="utf-8"
+    )
+    commands = {
+        "spectrum": ["spectrum", "--graph", str(p)],
+        "kernel": ["kernel", "--graph", str(p), "--t", "0.5"],
+        "estimate": ["estimate", "--graph", str(p)],
+    }
+    outputs = {}
+    for threads in (1, 2):
+        for name, argv in commands.items():
+            first = run_with_blas_threads(threads, argv)
+            assert run_with_blas_threads(threads, argv) == first, (name, threads)
+            outputs[name, threads] = first
+    # the last bits may move with the thread count, the values may not
+    assert_rows_agree(outputs["spectrum", 1], outputs["spectrum", 2], 1e-12)
+    assert_rows_agree(outputs["kernel", 1], outputs["kernel", 2], 1e-12)
+    # estimate rows are threshold reads of kernel samples, so a last-bit change
+    # can move a row between thread counts; only the pair list is fixed
+    pairs_1 = [line.split(",")[:2] for line in outputs["estimate", 1].splitlines()]
+    pairs_2 = [line.split(",")[:2] for line in outputs["estimate", 2].splitlines()]
+    assert pairs_1 == pairs_2

@@ -10,11 +10,11 @@ from graphheat import (
     Graph,
     HeatKernel,
     eigendecompose,
-    kernel_entry,
     kernel_spectral,
     kernel_uniformization,
     kirchhoff_matrix,
 )
+from graphheat.cli import main
 
 TS = (0.01, 0.1, 1.0, 5.0)
 
@@ -147,8 +147,8 @@ def test_cross_component_entries_vanish():
 
 def test_diffusion_spreads_monotonically_on_path():
     g = corpus.path_graph(7)
-    p_small = kernel_entry(g, 0.1, 0, 6)
-    p_big = kernel_entry(g, 2.0, 0, 6)
+    p_small = spectral(g, 0.1).entry(0, 6)
+    p_big = spectral(g, 2.0).entry(0, 6)
     assert 0 <= p_small < p_big < 1
 
 
@@ -205,13 +205,17 @@ def test_entry_accessor_and_method_tag():
     assert hk.entry(x, y) == hk.K[x, y]
 
 
-def test_kernel_entry_dispatch():
+def test_method_dispatch(tmp_path):
     g = corpus.path_graph(4)
-    a = kernel_entry(g, 0.4, 0, 3, method="spectral")
-    b = kernel_entry(g, 0.4, 0, 3, method="uniformization")
+    a = spectral(g, 0.4).entry(0, 3)
+    b = kernel_uniformization(g, 0.4).entry(0, 3)
     assert a == pytest.approx(b, abs=1e-12)
-    with pytest.raises(ValueError):
-        kernel_entry(g, 0.4, 0, 3, method="magic")
+    # the method is chosen by name only on the command line
+    p = tmp_path / "path4.txt"
+    p.write_text("0 1\n1 2\n2 3\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc_info:
+        main(["kernel", "--graph", str(p), "--t", "0.4", "--method", "magic"])
+    assert exc_info.value.code == 2
 
 
 def test_kernel_matrix_is_read_only():

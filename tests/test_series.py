@@ -1,5 +1,6 @@
 """Exact short-time Taylor data for kernel entries."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from graphheat import (
     leading_order,
     series_prefix,
 )
+from graphheat import series as series_module
 
 F = Fraction
 
@@ -27,7 +29,8 @@ F = Fraction
 
 def test_laplacian_apply_matches_matrix_columns():
     g = corpus.random_weighted_graph(13, 7, 0.5)
-    L = kirchhoff_matrix(g).exact
+    L = corpus.kirchhoff_exact(g)
+    np.testing.assert_array_equal(kirchhoff_matrix(g).dense, np.array(L, dtype=float))
     for j in range(g.n):
         unit = [0] * g.n
         unit[j] = 1
@@ -128,6 +131,20 @@ def test_leading_order_unreachable_raises():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(UnreachableError):
         leading_order(g, 0, 3)
+
+
+def test_leading_order_bfs_mismatch_raises(monkeypatch):
+    # a real error, not an assert that python -O would strip
+    real = series_module.bfs_profile
+
+    def wrong_distance(g, source):
+        profile = real(g, source)
+        dist = tuple(None if d is None else d + 1 for d in profile.dist)
+        return dataclasses.replace(profile, dist=dist)
+
+    monkeypatch.setattr(series_module, "bfs_profile", wrong_distance)
+    with pytest.raises(RuntimeError, match="BFS distance"):
+        leading_order(corpus.path_graph(3), 0, 2)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -1,4 +1,4 @@
-"""Kirchhoff matrix assembly and the Jacobi eigensolver."""
+"""Kirchhoff matrix assembly and the LAPACK (``eigh``) eigendecomposition."""
 
 from fractions import Fraction
 
@@ -25,32 +25,47 @@ def decompose(g: Graph) -> tuple[KirchhoffMatrix, SpectralDecomposition]:
 # --- matrix assembly --------------------------------------------------------
 
 
+def assert_dense_matches_oracle(g: Graph) -> tuple:
+    exact = corpus.kirchhoff_exact(g)
+    dense = kirchhoff_matrix(g).dense
+    # bytes, not values: a -0.0 where the oracle has 0 would show up here
+    assert dense.tobytes() == np.array(exact, dtype=float).tobytes()
+    return exact
+
+
 def test_kirchhoff_entries_path():
-    L = kirchhoff_matrix(corpus.path_graph(3))
-    assert L.exact == (
+    exact = assert_dense_matches_oracle(corpus.path_graph(3))
+    assert exact == (
         (-1, 1, 0),
         (1, -2, 1),
         (0, 1, -1),
     )
-    np.testing.assert_array_equal(L.dense, np.array(L.exact, dtype=float))
 
 
 def test_kirchhoff_entries_weighted():
     g = Graph(3, [(0, 1), (1, 2)], weights={(0, 1): 2, (1, 2): Fraction(1, 3)})
-    L = kirchhoff_matrix(g)
-    assert L.exact[0][0] == -2
-    assert L.exact[0][1] == 2
-    assert L.exact[1][1] == Fraction(-7, 3)
-    assert L.exact[1][2] == Fraction(1, 3)
-    assert L.exact[2][2] == Fraction(-1, 3)
-    assert L.exact[0][2] == 0
+    exact = assert_dense_matches_oracle(g)
+    assert exact[0][0] == -2
+    assert exact[0][1] == 2
+    assert exact[1][1] == Fraction(-7, 3)
+    assert exact[1][2] == Fraction(1, 3)
+    assert exact[2][2] == Fraction(-1, 3)
+    assert exact[0][2] == 0
 
 
 def test_kirchhoff_rows_sum_to_zero():
-    g = corpus.random_weighted_graph(3, 9, 0.4)
-    L = kirchhoff_matrix(g)
-    for row in L.exact:
+    exact = assert_dense_matches_oracle(corpus.random_weighted_graph(3, 9, 0.4))
+    for row in exact:
         assert sum(row) == 0
+
+
+def test_dense_matches_exact_oracle():
+    graphs = [corpus.random_weighted_graph(600 + s, 12, 0.3) for s in range(5)]
+    graphs += [corpus.random_connected_graph(700 + s, 15, 0.2) for s in range(5)]
+    # an isolated vertex: its diagonal is +0.0
+    graphs.append(Graph(4, [(0, 1), (1, 2)], weights={(0, 1): Fraction(7, 10)}))
+    for g in graphs:
+        assert_dense_matches_oracle(g)
 
 
 def test_dense_is_read_only():

@@ -1,5 +1,6 @@
 """Pair verification reports and sample-based distance recovery."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from graphheat import (
     verify_pair,
     weighted_leading,
 )
+from graphheat import varadhan as varadhan_module
 
 F = Fraction
 
@@ -134,6 +136,21 @@ def test_weighted_leading_golden():
 def test_weighted_leading_unreachable():
     with pytest.raises(UnreachableError):
         weighted_leading(Graph(3, [(0, 1)]), 0, 2)
+
+
+def test_weighted_leading_bfs_mismatch_raises(monkeypatch):
+    # a real error, not an assert that python -O would strip
+    real = varadhan_module.bfs_profile
+
+    def wrong_weight(g, source):
+        profile = real(g, source)
+        weight = tuple(w + 1 for w in profile.geodesic_weight)
+        return dataclasses.replace(profile, geodesic_weight=weight)
+
+    monkeypatch.setattr(varadhan_module, "bfs_profile", wrong_weight)
+    g = Graph(3, [(0, 1), (1, 2)], weights={(0, 1): 2, (1, 2): F(1, 3)})
+    with pytest.raises(RuntimeError, match="geodesic weight mismatch"):
+        weighted_leading(g, 0, 2)
 
 
 # --- distance recovery -------------------------------------------------------
