@@ -14,14 +14,13 @@ from .errors import (
     ParseError,
     PositivityFloor,
     SelfLoopError,
+    UnknownVertexError,
     UnreachableError,
     WeightError,
 )
 from .graphs import (
     DistanceProfile,
     Graph,
-    adjacency_apply,
-    adjacency_power_entry,
     bfs_profile,
     is_bipartite,
     parse_edge_list,
@@ -38,6 +37,7 @@ from .series import (
     laplacian_apply,
     leading_order,
     series_prefix,
+    walk_vectors,
 )
 from .spectral import (
     KirchhoffMatrix,
@@ -72,12 +72,11 @@ __all__ = [
     "ParseError",
     "PositivityFloor",
     "SelfLoopError",
+    "UnknownVertexError",
     "UnreachableError",
     "WeightError",
     "DistanceProfile",
     "Graph",
-    "adjacency_apply",
-    "adjacency_power_entry",
     "bfs_profile",
     "is_bipartite",
     "parse_edge_list",
@@ -90,6 +89,7 @@ __all__ = [
     "laplacian_apply",
     "leading_order",
     "series_prefix",
+    "walk_vectors",
     "KirchhoffMatrix",
     "SpectralDecomposition",
     "eigendecompose",

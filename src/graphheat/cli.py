@@ -28,14 +28,14 @@ from .errors import (
 )
 from .graphs import Graph, bfs_profile, is_bipartite, parse_edge_list
 from .kernels import DEFAULT_EPS, kernel_spectral, kernel_uniformization
-from .series import series_prefix
+from .series import walk_vectors
 from .spectral import eigendecompose, kirchhoff_matrix
 from .varadhan import (
     estimate_pair,
     spectral_sampler,
     uniformization_sampler,
+    _verify_pair,
     verify_graph,
-    verify_pair,
 )
 
 SUBCOMMANDS = ("kernel", "spectrum", "series", "verify", "estimate", "paths", "bipartite")
@@ -215,9 +215,13 @@ def _cmd_series(g: Graph, config: CommandConfig):
         raise ValueError(f"--max-order must be nonnegative, got {config.max_order}")
     pairs = _resolve_pairs(g, config.pairs, include_diagonal=True)
     rows = []
+    walk_source = None
     for x, y in pairs:
-        prefix = series_prefix(g, x, y, config.max_order)
-        for k, c in enumerate(prefix.coeffs):
+        if x != walk_source:  # one walk per run of pairs from the same source
+            us, dens = walk_vectors(g, x, config.max_order)
+            walk_source = x
+        for k, (u, den) in enumerate(zip(us, dens)):
+            c = Fraction(u[y], den)
             rows.append(
                 [g.labels[x], g.labels[y], str(k), str(c.numerator), str(c.denominator)]
             )
@@ -259,9 +263,10 @@ def _cmd_verify(g: Graph, config: CommandConfig):
         for u, v in summary.skipped:
             rows.append([u, v, "unreachable", "", "", "", "", "", "na", "na", "na"])
     else:
+        colors = is_bipartite(g)
         for x, y in _resolve_pairs(g, config.pairs, include_diagonal=True):
             try:
-                report = verify_pair(g, x, y)
+                report = _verify_pair(g, x, y, colors)
             except UnreachableError:
                 rows.append(
                     [g.labels[x], g.labels[y], "unreachable", "", "", "", "", "",
@@ -286,7 +291,12 @@ def _cmd_estimate(g: Graph, config: CommandConfig):
         t0 = config.t0
     else:
         c = g.max_weighted_degree()
-        t0 = min(0.1, 1.0 / (2.0 * c)) if c > 0 else 0.1
+        t0 = min(0.1, 0.5 / c) if c > 0 else 0.1
+        if t0 < sys.float_info.min:
+            raise ValueError(
+                f"largest weighted degree {c!r} is too large for the default "
+                f"t0 = 0.5/c = {t0!r}; give --t0"
+            )
     rows = []
     for x, y in _resolve_pairs(g, config.pairs, include_diagonal=False):
         lx, ly = g.labels[x], g.labels[y]
@@ -363,9 +373,6 @@ def main(argv: list[str] | None = None) -> int:
         return run(config)
     except EdgeListError as exc:
         print(f"error: {config.graph_path}: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: unknown vertex label {exc.args[0]!r}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,14 @@ class WeightError(EdgeListError):
     """
 
 
+class UnknownVertexError(GraphHeatError):
+    """A vertex label that the graph does not have."""
+
+    def __init__(self, label: str):
+        self.label = label
+        super().__init__(f"unknown vertex label {label!r}")
+
+
 class UnreachableError(GraphHeatError):
     """The queried vertices lie in different connected components."""
 

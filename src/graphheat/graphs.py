@@ -1,4 +1,4 @@
-"""Immutable simple graphs: parsing, BFS distance profiles, exact walk counts.
+"""Immutable simple graphs: parsing, BFS distance profiles, geodesic counts.
 
 Vertices are dense integer indices ``0 .. n-1``.  External names live in
 ``Graph.labels`` (first-appearance order when parsed from an edge list).
@@ -18,6 +18,7 @@ from .errors import (
     DuplicateEdgeError,
     ParseError,
     SelfLoopError,
+    UnknownVertexError,
     WeightError,
 )
 
@@ -39,9 +40,16 @@ class Graph:
         Optional external vertex names, one per vertex, unique.
 
     Instances are immutable after construction and safe to share.
+
+    The exact arithmetic runs on integers: with ``s`` the lcm of the weight
+    denominators (1 when unweighted), each vertex keeps its
+    ``(neighbour, w * s)`` pairs and its degree in those integer weights, so
+    a walk of k steps has the common denominator ``s^k``.
     """
 
-    __slots__ = ("n", "labels", "edges", "weights", "_adj", "_wadj", "_wdeg", "_index")
+    __slots__ = (
+        "n", "labels", "edges", "weights", "_scale", "_wnbrs", "_adj", "_ideg", "_index"
+    )
 
     def __init__(
         self,
@@ -95,20 +103,23 @@ class Graph:
             for key in elist:
                 wmap.setdefault(key, Fraction(1))
         self.weights = wmap
+        scale = math.lcm(*(w.denominator for w in (wmap or {}).values()))
 
         adj: list[list[int]] = [[] for _ in range(n)]
-        wadj: list[list[Fraction]] | None = [[] for _ in range(n)] if wmap else None
+        wnbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        ideg = [0] * n
         for u, v in elist:
+            w = 1 if wmap is None else int(wmap[(u, v)] * scale)
             adj[u].append(v)
             adj[v].append(u)
-            if wmap is not None and wadj is not None:
-                wadj[u].append(wmap[(u, v)])
-                wadj[v].append(wmap[(u, v)])
-        self._adj = tuple(tuple(row) for row in adj)
-        self._wadj = tuple(tuple(row) for row in wadj) if wadj is not None else None
-        self._wdeg = (
-            tuple(sum(row, Fraction(0)) for row in wadj) if wadj is not None else None
-        )
+            wnbrs[u].append((v, w))
+            wnbrs[v].append((u, w))
+            ideg[u] += w
+            ideg[v] += w
+        self._scale = scale
+        self._adj = tuple(map(tuple, adj))
+        self._wnbrs = tuple(map(tuple, wnbrs))
+        self._ideg = tuple(ideg)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -121,18 +132,16 @@ class Graph:
 
     def neighbor_weights(self, v: int) -> tuple[Fraction, ...]:
         """Weights aligned with ``neighbors(v)``; all 1 on unweighted graphs."""
-        if self._wadj is None:
-            return tuple(Fraction(1) for _ in self._adj[v])
-        return self._wadj[v]
+        return tuple(Fraction(w, self._scale) for _, w in self._wnbrs[v])
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
     def weighted_degree(self, v: int):
         """Sum of incident edge weights (== degree when unweighted)."""
-        if self._wdeg is None:
-            return len(self._adj[v])
-        return self._wdeg[v]
+        if self.weights is None:
+            return self._ideg[v]
+        return Fraction(self._ideg[v], self._scale)
 
     def max_weighted_degree(self) -> float:
         if self.n == 0:
@@ -148,8 +157,11 @@ class Graph:
         return self.weights[key]
 
     def index_of(self, label: str) -> int:
-        """Resolve an external vertex name; raises KeyError if unknown."""
-        return self._index[label]
+        """Resolve an external vertex name; raises UnknownVertexError if unknown."""
+        try:
+            return self._index[label]
+        except KeyError:
+            raise UnknownVertexError(label) from None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "weighted " if self.is_weighted else ""
@@ -289,33 +301,16 @@ def bfs_profile(g: Graph, source: int) -> DistanceProfile:
     _check_vertex(g, source)
     dist: list[int | None] = [None] * g.n
     count: list[int] = [0] * g.n
+    weight: list[int] = [0] * g.n  # times s^dist, on the integer weights
     dist[source] = 0
     count[source] = 1
-    queue = deque([source])
-
-    if not g.is_weighted:
-        adj = g._adj
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            for u in adj[v]:
-                if dist[u] is None:
-                    dist[u] = dv + 1
-                    count[u] = count[v]
-                    queue.append(u)
-                elif dist[u] == dv + 1:
-                    count[u] += count[v]
-        return DistanceProfile(source, tuple(dist), tuple(count), tuple(count))
-
-    weight: list[Fraction | int] = [0] * g.n
     weight[source] = 1
-    adj = g._adj
-    wadj = g._wadj
-    assert wadj is not None
+    queue = deque([source])
+    wnbrs = g._wnbrs
     while queue:
         v = queue.popleft()
         dv = dist[v]
-        for u, w in zip(adj[v], wadj[v]):
+        for u, w in wnbrs[v]:
             if dist[u] is None:
                 dist[u] = dv + 1
                 count[u] = count[v]
@@ -323,48 +318,13 @@ def bfs_profile(g: Graph, source: int) -> DistanceProfile:
                 queue.append(u)
             elif dist[u] == dv + 1:
                 count[u] += count[v]
-                weight[u] = weight[u] + weight[v] * w
-    return DistanceProfile(source, tuple(dist), tuple(count), tuple(weight))
-
-
-def adjacency_apply(g: Graph, u: Sequence) -> list:
-    """Exact adjacency matrix–vector product ``A u`` (weighted where defined)."""
-    if len(u) != g.n:
-        raise ValueError(f"vector length {len(u)} != vertex count {g.n}")
-    out = [0] * g.n
-    if g.is_weighted:
-        wadj = g._wadj
-        assert wadj is not None
-        for v in range(g.n):
-            uv = u[v]
-            if uv:
-                for nbr, w in zip(g._adj[v], wadj[v]):
-                    out[nbr] += uv * w
-    else:
-        for v in range(g.n):
-            uv = u[v]
-            if uv:
-                for nbr in g._adj[v]:
-                    out[nbr] += uv
-    return out
-
-
-def adjacency_power_entry(g: Graph, k: int, x: int, y: int):
-    """Entry ``(A^k)[x, y]`` computed exactly by repeated application.
-
-    Counts walks of length k from x to y (weighted by edge-weight products on
-    weighted graphs).  At ``k == d(x, y)`` every such walk is a geodesic, so
-    the entry equals the geodesic count there; below the distance it is 0.
-    """
-    if k < 0:
-        raise ValueError(f"power must be nonnegative, got {k}")
-    _check_vertex(g, x)
-    _check_vertex(g, y)
-    vec: list = [0] * g.n
-    vec[x] = 1
-    for _ in range(k):
-        vec = adjacency_apply(g, vec)
-    return vec[y]
+                weight[u] += weight[v] * w
+    if not g.is_weighted:
+        return DistanceProfile(source, tuple(dist), tuple(count), tuple(count))
+    geodesic_weight = tuple(
+        Fraction(wv, g._scale**dv) if dv else wv for wv, dv in zip(weight, dist)
+    )
+    return DistanceProfile(source, tuple(dist), tuple(count), geodesic_weight)
 
 
 def is_bipartite(g: Graph) -> tuple[int, ...] | None:

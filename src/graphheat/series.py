@@ -1,14 +1,16 @@
 """Exact short-time Taylor data of the heat kernel.
 
-``p_t(x, y) = sum_k c_k t^k`` with ``c_k = ((A - D)^k)[x, y] / k!``.  The
-coefficients are exact rationals, produced by repeated exact matrix–vector
-application — no floats anywhere.  The first nonzero coefficient sits at
-``k = d(x, y)`` and equals ``(number of geodesics) / d!``.
+``p_t(x, y) = sum_k c_k t^k`` with ``c_k = ((A - D)^k)[x, y] / k!``.  Every
+coefficient of a source x is read off one walk ``u_k = (A - D)^k e_x``,
+done in integers: with the weights scaled to integers ``w * s``, the walk
+keeps ``s^k u_k`` and the common denominator ``s^k k!`` apart, and a
+:class:`~fractions.Fraction` is built only for an entry that is read.  The
+first nonzero coefficient sits at ``k = d(x, y)`` and equals
+``(number of geodesics) / d!``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,42 +19,64 @@ from .errors import UnreachableError
 from .graphs import Graph, bfs_profile
 
 
+def _integer_step(g: Graph, u: Sequence) -> list:
+    """``s * (A - D) u``: the Laplacian step on the integer edge weights."""
+    out = []
+    for wnbrs, deg, uv in zip(g._wnbrs, g._ideg, u):
+        acc = -deg * uv
+        for nbr, w in wnbrs:
+            acc += w * u[nbr]
+        out.append(acc)
+    return out
+
+
 def laplacian_apply(g: Graph, u: Sequence) -> list:
     """Exact matrix–vector product ``(A - D) u``.
 
-    Input entries may be ints or Fractions; the result stays exact.  This is
-    the single step of the coefficient recursion ``u_{k+1} = (A - D) u_k``.
+    Input entries may be ints or Fractions; the result stays exact, and
+    integer input on an unweighted graph gives integers.
     """
     if len(u) != g.n:
         raise ValueError(f"vector length {len(u)} != vertex count {g.n}")
-    out = [0] * g.n
-    if g.is_weighted:
-        for v in range(g.n):
-            uv = u[v]
-            acc = 0
-            for nbr, w in zip(g.neighbors(v), g.neighbor_weights(v)):
-                acc += w * (u[nbr] - uv)
-            out[v] = acc
-    else:
-        for v in range(g.n):
-            acc = -len(g.neighbors(v)) * u[v]
-            for nbr in g.neighbors(v):
-                acc += u[nbr]
-            out[v] = acc
-    return out
+    out = _integer_step(g, u)
+    if g._scale == 1:
+        return out
+    return [Fraction(v, g._scale) for v in out]
+
+
+def walk_vectors(g: Graph, x: int, depth: int) -> tuple[list[list[int]], list[int]]:
+    """The exact walk from ``x``: ``us[k] / dens[k] == (A - D)^k e_x / k!``.
+
+    Returns the integer vectors ``us[k] = s^k (A - D)^k e_x`` and the
+    denominators ``dens[k] = s^k k!`` for ``k = 0 .. depth``, where ``s`` is
+    the lcm of the weight denominators (1 when unweighted).  So
+    ``Fraction(us[k][y], dens[k])`` is the coefficient of ``t^k`` in
+    ``p_t(x, y)``.  Costs ``depth`` sweeps over the edges.
+    """
+    if depth < 0:
+        raise ValueError(f"order must be nonnegative, got {depth}")
+    if not (0 <= x < g.n):
+        raise ValueError(f"vertex {x} out of range for {g.n} vertices")
+    u = [0] * g.n
+    u[x] = 1
+    us = [u]
+    dens = [1]
+    for k in range(1, depth + 1):
+        us.append(_integer_step(g, us[-1]))
+        dens.append(dens[-1] * g._scale * k)
+    return us, dens
+
+
+def _check_pair(g: Graph, x: int, y: int) -> None:
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError(f"vertex pair ({x}, {y}) out of range for {g.n} vertices")
 
 
 def kernel_taylor_coefficient(g: Graph, x: int, y: int, k: int) -> Fraction:
     """The exact coefficient of ``t^k`` in ``p_t(x, y)``."""
-    if k < 0:
-        raise ValueError(f"order must be nonnegative, got {k}")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"vertex pair ({x}, {y}) out of range for {g.n} vertices")
-    u: list = [0] * g.n
-    u[x] = 1
-    for _ in range(k):
-        u = laplacian_apply(g, u)
-    return Fraction(u[y], math.factorial(k))
+    _check_pair(g, x, y)
+    us, dens = walk_vectors(g, x, k)
+    return Fraction(us[k][y], dens[k])
 
 
 @dataclass(frozen=True)
@@ -76,18 +100,10 @@ class SeriesPrefix:
 
 
 def series_prefix(g: Graph, x: int, y: int, max_order: int) -> SeriesPrefix:
-    """All coefficients ``c_0 .. c_max_order`` in one exact recursion pass."""
-    if max_order < 0:
-        raise ValueError(f"order must be nonnegative, got {max_order}")
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"vertex pair ({x}, {y}) out of range for {g.n} vertices")
-    u: list = [0] * g.n
-    u[x] = 1
-    coeffs = [Fraction(u[y])]
-    for k in range(1, max_order + 1):
-        u = laplacian_apply(g, u)
-        coeffs.append(Fraction(u[y], math.factorial(k)))
-    return SeriesPrefix(x, y, tuple(coeffs))
+    """All coefficients ``c_0 .. c_max_order``, read off one walk from x."""
+    _check_pair(g, x, y)
+    us, dens = walk_vectors(g, x, max_order)
+    return SeriesPrefix(x, y, tuple(Fraction(u[y], den) for u, den in zip(us, dens)))
 
 
 def leading_order(g: Graph, x: int, y: int) -> tuple[int, Fraction]:
@@ -99,22 +115,19 @@ def leading_order(g: Graph, x: int, y: int) -> tuple[int, Fraction]:
     raises :class:`RuntimeError`.  Raises :class:`UnreachableError` if no
     power up to n reaches y — i.e. the pair spans two components.
     """
-    if not (0 <= x < g.n and 0 <= y < g.n):
-        raise ValueError(f"vertex pair ({x}, {y}) out of range for {g.n} vertices")
-    u: list = [0] * g.n
-    u[x] = 1
-    for k in range(g.n + 1):
-        if u[y] != 0:
-            c = Fraction(u[y], math.factorial(k))
-            profile = bfs_profile(g, x)
-            if profile.dist[y] != k:
-                raise RuntimeError(
-                    f"first nonzero coefficient at order {k}, BFS distance {profile.dist[y]}"
-                )
-            if c <= 0:
-                raise RuntimeError(f"leading coefficient must be positive, got {c}")
-            return k, c
-        u = laplacian_apply(g, u)
-    raise UnreachableError(
-        f"vertices {g.labels[x]!r} and {g.labels[y]!r} are in different components"
-    )
+    _check_pair(g, x, y)
+    d = bfs_profile(g, x).dist[y]
+    # Up to the BFS distance, or up to n where BFS finds no path, so that the
+    # walk alone decides where the first nonzero entry is.
+    us, dens = walk_vectors(g, x, g.n if d is None else d)
+    k = next((k for k, u in enumerate(us) if u[y] != 0), None)
+    if k is None and d is None:
+        raise UnreachableError(
+            f"vertices {g.labels[x]!r} and {g.labels[y]!r} are in different components"
+        )
+    if k != d:
+        raise RuntimeError(f"first nonzero coefficient at order {k}, BFS distance {d}")
+    c = Fraction(us[k][y], dens[k])
+    if c <= 0:
+        raise RuntimeError(f"leading coefficient must be positive, got {c}")
+    return k, c

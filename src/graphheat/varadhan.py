@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Callable, Literal
 
 from .errors import NoConvergence, PositivityFloor, UnreachableError
-from .graphs import Graph, bfs_profile, is_bipartite
+from .graphs import DistanceProfile, Graph, bfs_profile, is_bipartite
 from .kernels import kernel_spectral, kernel_uniformization
-from .series import kernel_taylor_coefficient, laplacian_apply, series_prefix
+from .series import kernel_taylor_coefficient, walk_vectors
 from .spectral import eigendecompose, kirchhoff_matrix
 
 Verdict = Literal["pass", "fail", "na"]
@@ -84,16 +84,20 @@ def _make_report(
     g: Graph,
     x: int,
     y: int,
-    d: int,
-    n_geodesics,
-    coeffs: tuple[Fraction, ...],
+    profile: DistanceProfile,
+    us: list[list[int]],
+    dens: list[int],
     colors: tuple[int, ...] | None,
 ) -> VaradhanReport:
-    leading = coeffs[d]
-    next_coeff = coeffs[d + 1]
-    vanish_ok: Verdict = (
-        "pass" if all(coeffs[k] == 0 for k in range(d)) else "fail"
-    )
+    """Read the verdicts for ``(x, y)`` off the BFS profile and the walk from x.
+
+    The walk must reach order ``d + 1`` for the distance d from x to y.
+    """
+    d = profile.dist[y]
+    n_geodesics = profile.geodesic_weight[y]  # the count, when unweighted
+    leading = Fraction(us[d][y], dens[d])
+    next_coeff = Fraction(us[d + 1][y], dens[d + 1])
+    vanish_ok: Verdict = "pass" if all(us[k][y] == 0 for k in range(d)) else "fail"
     leading_ok: Verdict = (
         "pass" if leading * math.factorial(d) == n_geodesics else "fail"
     )
@@ -123,50 +127,42 @@ def verify_pair(g: Graph, x: int, y: int) -> VaradhanReport:
 
     Raises :class:`UnreachableError` when the pair spans two components.
     """
+    return _verify_pair(g, x, y, is_bipartite(g))
+
+
+def _verify_pair(
+    g: Graph, x: int, y: int, colors: tuple[int, ...] | None
+) -> VaradhanReport:
+    """:func:`verify_pair` with the 2-colouring (or None) already computed."""
     profile = bfs_profile(g, x)
     d = profile.dist[y]
     if d is None:
         raise UnreachableError(
             f"vertices {g.labels[x]!r} and {g.labels[y]!r} are in different components"
         )
-    n_geo = profile.geodesic_weight[y] if g.is_weighted else profile.geodesic_count[y]
-    coeffs = series_prefix(g, x, y, d + 1).coeffs
-    return _make_report(g, x, y, d, n_geo, coeffs, is_bipartite(g))
+    us, dens = walk_vectors(g, x, d + 1)
+    return _make_report(g, x, y, profile, us, dens, colors)
 
 
 def verify_graph(g: Graph) -> VerificationSummary:
     """Verify every connected unordered pair ``x < y``; collect the rest.
 
-    The exact coefficient recursion is run once per source vertex and shared
-    by all of its targets, so a full verification costs n recursions rather
-    than one per pair.
+    One exact walk per source vertex is shared by all of its targets, so a
+    full verification costs n walks rather than one per pair.
     """
     colors = is_bipartite(g)
     reports: list[VaradhanReport] = []
     skipped: list[tuple[str, str]] = []
-    for x in range(g.n):
+    for x in range(g.n - 1):
         targets = range(x + 1, g.n)
-        if not targets:
-            continue
         profile = bfs_profile(g, x)
         finite = [profile.dist[y] for y in targets if profile.dist[y] is not None]
-        depth = (max(finite) + 1) if finite else 0
-        us: list[list] = [[0] * g.n]
-        us[0][x] = 1
-        for _ in range(depth):
-            us.append(laplacian_apply(g, us[-1]))
+        us, dens = walk_vectors(g, x, (max(finite) + 1) if finite else 0)
         for y in targets:
-            d = profile.dist[y]
-            if d is None:
+            if profile.dist[y] is None:
                 skipped.append((g.labels[x], g.labels[y]))
-                continue
-            coeffs = tuple(
-                Fraction(us[k][y], math.factorial(k)) for k in range(d + 2)
-            )
-            n_geo = (
-                profile.geodesic_weight[y] if g.is_weighted else profile.geodesic_count[y]
-            )
-            reports.append(_make_report(g, x, y, d, n_geo, coeffs, colors))
+            else:
+                reports.append(_make_report(g, x, y, profile, us, dens, colors))
     return VerificationSummary(tuple(reports), tuple(skipped))
 
 

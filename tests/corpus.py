@@ -7,8 +7,10 @@ state.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from graphheat import Graph, bfs_profile, parse_edge_list
 
@@ -144,15 +146,60 @@ def random_weighted_graph(seed: int, n: int, p: float) -> Graph:
 def kirchhoff_exact(g: Graph) -> tuple[tuple[int | Fraction, ...], ...]:
     """Exact ``A - D`` as rows of ints (unweighted) or Fractions.
 
-    Test-only oracle for the float matrix the numeric engines build: built
-    from the neighbour lists, one row per vertex, with minus the weighted
-    degree on the diagonal.
+    Test-only oracle for the float matrix the numeric engines build and for
+    the integer walk: built from the edge list and the rational weight map
+    alone, with minus the row sum on the diagonal.
     """
-    rows = []
+    rows: list[list] = [[0] * g.n for _ in range(g.n)]
+    for u, v in g.edges:
+        rows[u][v] = rows[v][u] = 1 if g.weights is None else g.weights[(u, v)]
+    for v, row in enumerate(rows):
+        row[v] = -sum(row)
+    return tuple(map(tuple, rows))
+
+
+def taylor_coefficients_oracle(g: Graph, x: int, y: int, max_order: int) -> list[Fraction]:
+    """``c_0 .. c_max_order`` of ``p_t(x, y)``, one pair at a time, in Fractions.
+
+    Test-only oracle for the integer walk: repeated products with the exact
+    matrix :func:`kirchhoff_exact`, with no integer scaling of the weights.
+    """
+    L = kirchhoff_exact(g)
+    u = [Fraction(0)] * g.n
+    u[x] = Fraction(1)
+    coeffs = [u[y]]
+    for k in range(1, max_order + 1):
+        u = [sum((a * b for a, b in zip(row, u)), Fraction(0)) for row in L]
+        coeffs.append(u[y] / math.factorial(k))
+    return coeffs
+
+
+def adjacency_apply(g: Graph, u: Sequence) -> list:
+    """Exact adjacency matrix–vector product ``A u`` (weighted where defined)."""
+    if len(u) != g.n:
+        raise ValueError(f"vector length {len(u)} != vertex count {g.n}")
+    out = [0] * g.n
     for v in range(g.n):
-        row: list = [0] * g.n
-        for nbr, w in zip(g.neighbors(v), g.neighbor_weights(v)):
-            row[nbr] = w if g.is_weighted else 1
-        row[v] = -g.weighted_degree(v)
-        rows.append(tuple(row))
-    return tuple(rows)
+        uv = u[v]
+        if uv:
+            for nbr, w in zip(g.neighbors(v), g.neighbor_weights(v)):
+                out[nbr] += uv * w if g.is_weighted else uv
+    return out
+
+
+def adjacency_power_entry(g: Graph, k: int, x: int, y: int):
+    """Entry ``(A^k)[x, y]`` computed exactly by repeated application.
+
+    Counts walks of length k from x to y (weighted by edge-weight products on
+    weighted graphs).  At ``k == d(x, y)`` every such walk is a geodesic, so
+    the entry equals the geodesic count there; below the distance it is 0.
+    """
+    if k < 0:
+        raise ValueError(f"power must be nonnegative, got {k}")
+    if not (0 <= x < g.n and 0 <= y < g.n):
+        raise ValueError(f"vertex pair ({x}, {y}) out of range for {g.n} vertices")
+    vec: list = [0] * g.n
+    vec[x] = 1
+    for _ in range(k):
+        vec = adjacency_apply(g, vec)
+    return vec[y]

@@ -17,7 +17,6 @@ import pytest
 import corpus
 from graphheat import (
     Graph,
-    adjacency_apply,
     bfs_profile,
     eigendecompose,
     estimate_pair,
@@ -170,7 +169,7 @@ def test_criterion_3_vanishing_and_leading_match_walk_counts(theorem_corpus):
                 a[x] = 1
                 avs = [a]
                 for _ in range(depth):
-                    avs.append(adjacency_apply(g, avs[-1]))
+                    avs.append(corpus.adjacency_apply(g, avs[-1]))
                 for y in range(g.n):
                     d = profile.dist[y]
                     if d is None:

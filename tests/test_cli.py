@@ -12,6 +12,7 @@ import pytest
 
 import corpus
 from graphheat import VaradhanReport, VerificationSummary
+from graphheat import cli, varadhan
 from graphheat.cli import main
 
 try:
@@ -21,6 +22,7 @@ except ModuleNotFoundError:  # Python 3.10: pytest itself depends on tomli there
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_DIR = REPO_ROOT / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.fixture()
@@ -148,6 +150,34 @@ def test_series_default_covers_all_pairs_with_diagonal(capsys, grid_file):
     assert len(lines) == 21 * 3  # C(6,2) + 6 diagonal pairs, 3 coefficients each
 
 
+def test_series_walks_once_per_source(capsys, tmp_path, monkeypatch):
+    g = corpus.random_weighted_graph(3, 12, 0.3)
+    p = tmp_path / "w12.txt"
+    p.write_text(
+        "".join(f"{u} {v} {g.weights[(u, v)]}\n" for u, v in g.edges), encoding="utf-8"
+    )
+    sources = []
+    real = cli.walk_vectors
+
+    def counting(g, x, depth):
+        sources.append(x)
+        return real(g, x, depth)
+
+    monkeypatch.setattr(cli, "walk_vectors", counting)
+    code, out, _ = run_cli(capsys, ["series", "--graph", str(p), "--max-order", "3"])
+    assert code == 0
+    assert sources == list(range(g.n))
+    assert len(out.splitlines()) == 1 + g.n * (g.n + 1) // 2 * 4
+
+
+@pytest.mark.parametrize("command", ["series", "verify"])
+def test_weighted_output_matches_golden_bytes(capsys, command):
+    graph = GOLDEN / "weighted_grid.txt"
+    code, out, _ = run_cli(capsys, [command, "--graph", str(graph)])
+    assert code == 0
+    assert out == (GOLDEN / f"weighted_grid_{command}.csv").read_text(encoding="utf-8")
+
+
 # --- verify ------------------------------------------------------------------
 
 
@@ -194,6 +224,25 @@ def test_verify_failure_sets_exit_one(capsys, grid_file, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "--graph", grid_file])
     assert code == 1
     assert "fail" in out
+
+
+def test_verify_pairs_colour_the_graph_once(capsys, grid_file, monkeypatch):
+    calls = []
+    real = cli.is_bipartite
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(cli, "is_bipartite", counting)
+    monkeypatch.setattr(varadhan, "is_bipartite", counting)
+    argv = ["verify", "--graph", grid_file]
+    for pair in (("a0", "b2"), ("a1", "b0"), ("b2", "b2")):
+        argv += ["--pair", *pair]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    assert len(calls) == 1
 
 
 def test_verify_weighted_rational_count(capsys, tmp_path):
@@ -337,6 +386,17 @@ def test_unknown_label_exits_two(capsys, grid_file):
     )
     assert code == 2
     assert "zz" in err
+    assert err == "error: unknown vertex label 'zz'\n"
+
+
+def test_internal_key_error_is_not_an_unknown_label(capsys, grid_file, monkeypatch):
+    def broken(g, source):
+        raise KeyError("a0")
+
+    monkeypatch.setattr(cli, "bfs_profile", broken)
+    with pytest.raises(KeyError):
+        main(["paths", "--graph", grid_file, "--from", "a0", "--to", "b2"])
+    assert "unknown vertex label" not in capsys.readouterr().err
 
 
 def test_missing_graph_file_exits_two(capsys, tmp_path):
@@ -393,6 +453,17 @@ def test_weighted_degree_overflowing_float_rejected(capsys, tmp_path, command):
     # each weight is a finite float, their sum at b is not
     err = rejected_graph_stderr(capsys, tmp_path, command, "a b 1e308\nb c 1e308\n")
     assert "degree" in err and "'b'" in err
+
+
+def test_default_t0_underflow_names_the_weighted_degree(capsys, tmp_path):
+    # each weighted degree is finite, but 1/(2c) would pass through 2c = inf
+    p = tmp_path / "heavy.txt"
+    p.write_text("a b 1e308\nc d 1e308\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["estimate", "--graph", str(p)])
+    assert code == 2
+    assert out == ""
+    assert "largest weighted degree 1e+308" in err
+    assert "t0 must be positive" not in err
 
 
 def test_missing_required_t_flag(grid_file):

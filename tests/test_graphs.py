@@ -13,8 +13,8 @@ from graphheat import (
     Graph,
     ParseError,
     SelfLoopError,
+    UnknownVertexError,
     WeightError,
-    adjacency_power_entry,
     bfs_profile,
     is_bipartite,
     parse_edge_list,
@@ -42,6 +42,15 @@ def test_parse_reference_grid():
 def test_labels_numbered_in_first_appearance_order():
     g = parse_edge_list("b a\nc b\na d")
     assert g.labels == ("b", "a", "c", "d")
+
+
+def test_unknown_label_raises_dedicated_error():
+    g = parse_edge_list("b a\nc b")
+    assert g.index_of("c") == 2
+    with pytest.raises(UnknownVertexError) as info:
+        g.index_of("zz")
+    assert info.value.label == "zz"
+    assert str(info.value) == "unknown vertex label 'zz'"
 
 
 def test_comments_and_blank_lines_skipped():
@@ -214,15 +223,15 @@ def walk_count_oracle(g: Graph, k: int, x: int, y: int):
 
 def test_power_zero_is_identity():
     g = corpus.cycle_graph(5)
-    assert adjacency_power_entry(g, 0, 2, 2) == 1
-    assert adjacency_power_entry(g, 0, 2, 3) == 0
+    assert corpus.adjacency_power_entry(g, 0, 2, 2) == 1
+    assert corpus.adjacency_power_entry(g, 0, 2, 3) == 0
 
 
 def test_grid_walk_counts_match_geodesics():
     g = corpus.reference_grid()
     a, b, c = g.index_of("a0"), g.index_of("b1"), g.index_of("b2")
-    assert adjacency_power_entry(g, 2, a, b) == 2
-    assert adjacency_power_entry(g, 3, a, c) == 3
+    assert corpus.adjacency_power_entry(g, 2, a, b) == 2
+    assert corpus.adjacency_power_entry(g, 3, a, c) == 3
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -231,7 +240,7 @@ def test_adjacency_power_matches_brute_enumeration(seed):
     for k in range(4):
         for x in range(g.n):
             for y in range(g.n):
-                assert adjacency_power_entry(g, k, x, y) == walk_count_oracle(g, k, x, y)
+                assert corpus.adjacency_power_entry(g, k, x, y) == walk_count_oracle(g, k, x, y)
 
 
 def test_weighted_adjacency_power_matches_brute_enumeration():
@@ -239,7 +248,7 @@ def test_weighted_adjacency_power_matches_brute_enumeration():
     for k in range(4):
         for x in range(g.n):
             for y in range(g.n):
-                assert adjacency_power_entry(g, k, x, y) == walk_count_oracle(g, k, x, y)
+                assert corpus.adjacency_power_entry(g, k, x, y) == walk_count_oracle(g, k, x, y)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -250,17 +259,17 @@ def test_walks_below_distance_vanish_and_count_at_distance(seed):
         for y in range(g.n):
             d = profile.dist[y]
             for k in range(d):
-                assert adjacency_power_entry(g, k, x, y) == 0
-            assert adjacency_power_entry(g, d, x, y) == profile.geodesic_count[y]
+                assert corpus.adjacency_power_entry(g, k, x, y) == 0
+            assert corpus.adjacency_power_entry(g, d, x, y) == profile.geodesic_count[y]
 
 
 def test_bipartite_parity_forces_zero_walks():
     g = corpus.cycle_graph(6)  # even cycle is bipartite
     # walks between opposite-parity vertices need an odd number of steps
-    assert adjacency_power_entry(g, 2, 0, 1) == 0
-    assert adjacency_power_entry(g, 4, 0, 3) == 0
+    assert corpus.adjacency_power_entry(g, 2, 0, 1) == 0
+    assert corpus.adjacency_power_entry(g, 4, 0, 3) == 0
     # distance 3, reached both ways around the cycle
-    assert adjacency_power_entry(g, 3, 0, 3) == 2
+    assert corpus.adjacency_power_entry(g, 3, 0, 3) == 2
 
 
 def test_geodesic_counts_stay_exact_past_64_bits():

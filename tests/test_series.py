@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from graphheat import (
@@ -18,6 +20,7 @@ from graphheat import (
     laplacian_apply,
     leading_order,
     series_prefix,
+    walk_vectors,
 )
 from graphheat import series as series_module
 
@@ -46,6 +49,65 @@ def test_laplacian_apply_is_exact_on_fractions():
 def test_laplacian_apply_annihilates_constants():
     g = corpus.random_connected_graph(19, 10, 0.3)
     assert laplacian_apply(g, [1] * g.n) == [0] * g.n
+
+
+# --- the integer walk ---------------------------------------------------------
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+@st.composite
+def walk_cases(draw):
+    """An unweighted, weighted or two-component graph, a pair and a depth.
+
+    Weights are drawn over 16 prime denominators, so the lcm that scales them
+    to integers has many coprime factors.
+    """
+    kind = draw(st.sampled_from(("unweighted", "weighted", "two_component")))
+    n = draw(st.integers(min_value=2, max_value=8))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "two_component":
+        cut = draw(st.integers(min_value=1, max_value=n - 1))
+        possible = [(u, v) for u, v in possible if (u < cut) == (v < cut)]
+    edges = draw(st.lists(st.sampled_from(possible), unique=True)) if possible else []
+    weights = None
+    if kind == "weighted":
+        weights = {
+            e: Fraction(draw(st.integers(1, 60)), draw(st.sampled_from(PRIMES)))
+            for e in edges
+        }
+    g = Graph(n, edges, weights=weights)
+    x = draw(st.integers(0, n - 1))
+    y = draw(st.integers(0, n - 1))
+    return g, x, y, draw(st.integers(0, n + 1))
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(walk_cases())
+def test_walk_vectors_match_fraction_oracle(case):
+    g, x, y, depth = case
+    us, dens = walk_vectors(g, x, depth)
+    assert len(us) == len(dens) == depth + 1
+    assert all(type(v) is int for u in us for v in u)
+    got = [Fraction(u[y], den) for u, den in zip(us, dens)]
+    assert got == corpus.taylor_coefficients_oracle(g, x, y, depth)
+
+
+def test_walk_vectors_denominators():
+    g = Graph(3, [(0, 1), (1, 2)], weights={(0, 1): F(1, 2), (1, 2): F(2, 3)})
+    us, dens = walk_vectors(g, 0, 3)
+    assert dens == [1, 6, 72, 1296]  # s^k k! with s = lcm(2, 3)
+    assert us[1] == [-3, 3, 0]  # 6 * (A - D) e_0
+    _, dens = walk_vectors(corpus.path_graph(3), 0, 4)
+    assert dens == [1, 1, 2, 6, 24]
+
+
+def test_walk_vectors_rejects_bad_arguments():
+    g = corpus.path_graph(3)
+    with pytest.raises(ValueError):
+        walk_vectors(g, 0, -1)
+    with pytest.raises(ValueError):
+        walk_vectors(g, 3, 2)
 
 
 # --- golden coefficients on the 2x3 grid ------------------------------------
