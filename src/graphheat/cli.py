@@ -28,7 +28,7 @@ from .errors import (
 )
 from .graphs import Graph, bfs_profile, is_bipartite, parse_edge_list
 from .kernels import DEFAULT_EPS, kernel_spectral, kernel_uniformization
-from .series import walk_vectors
+from .series import series_prefix
 from .spectral import eigendecompose, kirchhoff_matrix
 from .varadhan import (
     estimate_pair,
@@ -215,13 +215,10 @@ def _cmd_series(g: Graph, config: CommandConfig):
         raise ValueError(f"--max-order must be nonnegative, got {config.max_order}")
     pairs = _resolve_pairs(g, config.pairs, include_diagonal=True)
     rows = []
-    walk_source = None
     for x, y in pairs:
-        if x != walk_source:  # one walk per run of pairs from the same source
-            us, dens = walk_vectors(g, x, config.max_order)
-            walk_source = x
-        for k, (u, den) in enumerate(zip(us, dens)):
-            c = Fraction(u[y], den)
+        # Consecutive pairs from one source share one walk (see series_prefix).
+        prefix = series_prefix(g, x, y, config.max_order)
+        for k, c in enumerate(prefix.coeffs):
             rows.append(
                 [g.labels[x], g.labels[y], str(k), str(c.numerator), str(c.denominator)]
             )

@@ -41,14 +41,14 @@ class Graph:
 
     Instances are immutable after construction and safe to share.
 
-    The exact arithmetic runs on integers: with ``s`` the lcm of the weight
-    denominators (1 when unweighted), each vertex keeps its
-    ``(neighbour, w * s)`` pairs and its degree in those integer weights, so
-    a walk of k steps has the common denominator ``s^k``.
+    The exact arithmetic runs on integers.  ``weight_scale`` is ``s``, the
+    lcm of the weight denominators (1 when unweighted); each vertex keeps its
+    ``(neighbour, w * s)`` pairs and their weight sum, so that
+    :func:`scaled_laplacian_apply` needs no fractions.
     """
 
     __slots__ = (
-        "n", "labels", "edges", "weights", "_scale", "_wnbrs", "_adj", "_ideg", "_index"
+        "n", "labels", "edges", "weights", "weight_scale", "_wnbrs", "_ideg", "_index"
     )
 
     def __init__(
@@ -105,21 +105,14 @@ class Graph:
         self.weights = wmap
         scale = math.lcm(*(w.denominator for w in (wmap or {}).values()))
 
-        adj: list[list[int]] = [[] for _ in range(n)]
         wnbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        ideg = [0] * n
         for u, v in elist:
             w = 1 if wmap is None else int(wmap[(u, v)] * scale)
-            adj[u].append(v)
-            adj[v].append(u)
             wnbrs[u].append((v, w))
             wnbrs[v].append((u, w))
-            ideg[u] += w
-            ideg[v] += w
-        self._scale = scale
-        self._adj = tuple(map(tuple, adj))
+        self.weight_scale = scale
         self._wnbrs = tuple(map(tuple, wnbrs))
-        self._ideg = tuple(ideg)
+        self._ideg = tuple(sum(w for _, w in row) for row in wnbrs)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -128,20 +121,20 @@ class Graph:
         return self.weights is not None
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(u for u, _ in self._wnbrs[v])
 
     def neighbor_weights(self, v: int) -> tuple[Fraction, ...]:
         """Weights aligned with ``neighbors(v)``; all 1 on unweighted graphs."""
-        return tuple(Fraction(w, self._scale) for _, w in self._wnbrs[v])
+        return tuple(Fraction(w, self.weight_scale) for _, w in self._wnbrs[v])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._wnbrs[v])
 
     def weighted_degree(self, v: int):
         """Sum of incident edge weights (== degree when unweighted)."""
         if self.weights is None:
             return self._ideg[v]
-        return Fraction(self._ideg[v], self._scale)
+        return Fraction(self._ideg[v], self.weight_scale)
 
     def max_weighted_degree(self) -> float:
         if self.n == 0:
@@ -151,7 +144,7 @@ class Graph:
     def edge_weight(self, u: int, v: int):
         key = (u, v) if u < v else (v, u)
         if self.weights is None:
-            if v not in self._adj[u]:
+            if v not in self.neighbors(u):
                 raise KeyError(f"no edge ({u}, {v})")
             return 1
         return self.weights[key]
@@ -285,11 +278,6 @@ class DistanceProfile:
         return max(finite)
 
 
-def _check_vertex(g: Graph, v: int) -> None:
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range for {g.n} vertices")
-
-
 def bfs_profile(g: Graph, source: int) -> DistanceProfile:
     """Layered BFS from ``source`` with geodesic counting.
 
@@ -298,7 +286,8 @@ def bfs_profile(g: Graph, source: int) -> DistanceProfile:
     recurrence with the connecting edge weight multiplied in.  Everything is
     exact; counts can exceed 64-bit range without issue.
     """
-    _check_vertex(g, source)
+    if not (0 <= source < g.n):
+        raise ValueError(f"vertex {source} out of range for {g.n} vertices")
     dist: list[int | None] = [None] * g.n
     count: list[int] = [0] * g.n
     weight: list[int] = [0] * g.n  # times s^dist, on the integer weights
@@ -322,9 +311,24 @@ def bfs_profile(g: Graph, source: int) -> DistanceProfile:
     if not g.is_weighted:
         return DistanceProfile(source, tuple(dist), tuple(count), tuple(count))
     geodesic_weight = tuple(
-        Fraction(wv, g._scale**dv) if dv else wv for wv, dv in zip(weight, dist)
+        Fraction(wv, g.weight_scale**dv) if dv else wv for wv, dv in zip(weight, dist)
     )
     return DistanceProfile(source, tuple(dist), tuple(count), geodesic_weight)
+
+
+def scaled_laplacian_apply(g: Graph, u: Sequence) -> list:
+    """``s * (A - D) u`` on the integer edge weights, ``s = g.weight_scale``.
+
+    Integer input gives integer output, so a walk of k steps stays in
+    integers with the common denominator ``s^k``.
+    """
+    out = []
+    for wnbrs, deg, uv in zip(g._wnbrs, g._ideg, u):
+        acc = -deg * uv
+        for nbr, w in wnbrs:
+            acc += w * u[nbr]
+        out.append(acc)
+    return out
 
 
 def is_bipartite(g: Graph) -> tuple[int, ...] | None:
@@ -342,7 +346,7 @@ def is_bipartite(g: Graph) -> tuple[int, ...] | None:
         while queue:
             v = queue.popleft()
             cv = color[v]
-            for u in g._adj[v]:
+            for u, _ in g._wnbrs[v]:
                 if color[u] is None:
                     color[u] = 1 - cv
                     queue.append(u)

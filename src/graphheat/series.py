@@ -11,23 +11,14 @@ first nonzero coefficient sits at ``k = d(x, y)`` and equals
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import count, islice
+from typing import Iterator, Sequence
 
 from .errors import UnreachableError
-from .graphs import Graph, bfs_profile
-
-
-def _integer_step(g: Graph, u: Sequence) -> list:
-    """``s * (A - D) u``: the Laplacian step on the integer edge weights."""
-    out = []
-    for wnbrs, deg, uv in zip(g._wnbrs, g._ideg, u):
-        acc = -deg * uv
-        for nbr, w in wnbrs:
-            acc += w * u[nbr]
-        out.append(acc)
-    return out
+from .graphs import Graph, bfs_profile, scaled_laplacian_apply
 
 
 def laplacian_apply(g: Graph, u: Sequence) -> list:
@@ -38,10 +29,21 @@ def laplacian_apply(g: Graph, u: Sequence) -> list:
     """
     if len(u) != g.n:
         raise ValueError(f"vector length {len(u)} != vertex count {g.n}")
-    out = _integer_step(g, u)
-    if g._scale == 1:
+    out = scaled_laplacian_apply(g, u)
+    if g.weight_scale == 1:
         return out
-    return [Fraction(v, g._scale) for v in out]
+    return [Fraction(v, g.weight_scale) for v in out]
+
+
+def _walk(g: Graph, x: int) -> Iterator[tuple[list[int], int]]:
+    """``(s^k (A - D)^k e_x, s^k k!)`` for ``k = 0, 1, ...``, without end."""
+    u = [0] * g.n
+    u[x] = 1
+    den = 1
+    for k in count(1):
+        yield u, den
+        u = scaled_laplacian_apply(g, u)
+        den *= g.weight_scale * k
 
 
 def walk_vectors(g: Graph, x: int, depth: int) -> tuple[list[list[int]], list[int]]:
@@ -49,22 +51,16 @@ def walk_vectors(g: Graph, x: int, depth: int) -> tuple[list[list[int]], list[in
 
     Returns the integer vectors ``us[k] = s^k (A - D)^k e_x`` and the
     denominators ``dens[k] = s^k k!`` for ``k = 0 .. depth``, where ``s`` is
-    the lcm of the weight denominators (1 when unweighted).  So
-    ``Fraction(us[k][y], dens[k])`` is the coefficient of ``t^k`` in
-    ``p_t(x, y)``.  Costs ``depth`` sweeps over the edges.
+    ``g.weight_scale``, the lcm of the weight denominators (1 when
+    unweighted).  So ``Fraction(us[k][y], dens[k])`` is the coefficient of
+    ``t^k`` in ``p_t(x, y)``.  Costs ``depth`` sweeps over the edges.
     """
     if depth < 0:
         raise ValueError(f"order must be nonnegative, got {depth}")
     if not (0 <= x < g.n):
         raise ValueError(f"vertex {x} out of range for {g.n} vertices")
-    u = [0] * g.n
-    u[x] = 1
-    us = [u]
-    dens = [1]
-    for k in range(1, depth + 1):
-        us.append(_integer_step(g, us[-1]))
-        dens.append(dens[-1] * g._scale * k)
-    return us, dens
+    us, dens = zip(*islice(_walk(g, x), depth + 1))
+    return list(us), list(dens)
 
 
 def _check_pair(g: Graph, x: int, y: int) -> None:
@@ -74,9 +70,11 @@ def _check_pair(g: Graph, x: int, y: int) -> None:
 
 def kernel_taylor_coefficient(g: Graph, x: int, y: int, k: int) -> Fraction:
     """The exact coefficient of ``t^k`` in ``p_t(x, y)``."""
+    if k < 0:
+        raise ValueError(f"order must be nonnegative, got {k}")
     _check_pair(g, x, y)
-    us, dens = walk_vectors(g, x, k)
-    return Fraction(us[k][y], dens[k])
+    u, den = next(islice(_walk(g, x), k, None))
+    return Fraction(u[y], den)
 
 
 @dataclass(frozen=True)
@@ -99,10 +97,20 @@ class SeriesPrefix:
         return acc
 
 
+@functools.lru_cache(maxsize=1)
+def _latest_walk(g: Graph, x: int, depth: int) -> tuple[list[list[int]], list[int]]:
+    return walk_vectors(g, x, depth)
+
+
 def series_prefix(g: Graph, x: int, y: int, max_order: int) -> SeriesPrefix:
-    """All coefficients ``c_0 .. c_max_order``, read off one walk from x."""
+    """All coefficients ``c_0 .. c_max_order``, read off one walk from x.
+
+    The walk of the latest call is kept (``max_order + 1`` vectors), so
+    consecutive calls with the same graph, source and order, as for all
+    targets of one source, share one walk.
+    """
     _check_pair(g, x, y)
-    us, dens = walk_vectors(g, x, max_order)
+    us, dens = _latest_walk(g, x, max_order)
     return SeriesPrefix(x, y, tuple(Fraction(u[y], den) for u, den in zip(us, dens)))
 
 
@@ -112,22 +120,21 @@ def leading_order(g: Graph, x: int, y: int) -> tuple[int, Fraction]:
     Returns ``(d, c)`` where d is the graph distance and
     ``c = (geodesic weight) / d!`` is strictly positive.  Both facts are
     cross-checked against an independent BFS before returning; a mismatch
-    raises :class:`RuntimeError`.  Raises :class:`UnreachableError` if no
-    power up to n reaches y — i.e. the pair spans two components.
+    raises :class:`RuntimeError`.  Raises :class:`UnreachableError` when BFS
+    finds no path, i.e. the pair spans two components.
     """
     _check_pair(g, x, y)
     d = bfs_profile(g, x).dist[y]
-    # Up to the BFS distance, or up to n where BFS finds no path, so that the
-    # walk alone decides where the first nonzero entry is.
-    us, dens = walk_vectors(g, x, g.n if d is None else d)
-    k = next((k for k, u in enumerate(us) if u[y] != 0), None)
-    if k is None and d is None:
+    if d is None:
         raise UnreachableError(
             f"vertices {g.labels[x]!r} and {g.labels[y]!r} are in different components"
         )
-    if k != d:
-        raise RuntimeError(f"first nonzero coefficient at order {k}, BFS distance {d}")
-    c = Fraction(us[k][y], dens[k])
+    for k, (u, den) in zip(range(d + 1), _walk(g, x)):
+        if u[y] != 0:
+            break
+    if k != d or u[y] == 0:
+        raise RuntimeError(f"walk entry at order {k} is {u[y]}, BFS distance {d}")
+    c = Fraction(u[y], den)
     if c <= 0:
         raise RuntimeError(f"leading coefficient must be positive, got {c}")
     return k, c

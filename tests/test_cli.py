@@ -12,7 +12,7 @@ import pytest
 
 import corpus
 from graphheat import VaradhanReport, VerificationSummary
-from graphheat import cli, varadhan
+from graphheat import cli, series, varadhan
 from graphheat.cli import main
 
 try:
@@ -157,13 +157,13 @@ def test_series_walks_once_per_source(capsys, tmp_path, monkeypatch):
         "".join(f"{u} {v} {g.weights[(u, v)]}\n" for u, v in g.edges), encoding="utf-8"
     )
     sources = []
-    real = cli.walk_vectors
+    real = series.walk_vectors
 
     def counting(g, x, depth):
         sources.append(x)
         return real(g, x, depth)
 
-    monkeypatch.setattr(cli, "walk_vectors", counting)
+    monkeypatch.setattr(series, "walk_vectors", counting)
     code, out, _ = run_cli(capsys, ["series", "--graph", str(p), "--max-order", "3"])
     assert code == 0
     assert sources == list(range(g.n))

@@ -195,6 +195,36 @@ def test_leading_order_unreachable_raises():
         leading_order(g, 0, 3)
 
 
+def test_series_prefix_calls_in_any_order_match_oracle():
+    # series_prefix keeps its latest walk; a new graph, source or order must
+    # not read a stale one.
+    g, h = corpus.random_weighted_graph(11, 7, 0.5), corpus.cycle_graph(7)
+    for g_, x, y, m in [(g, 0, 3, 4), (g, 0, 5, 4), (h, 0, 3, 4), (g, 0, 3, 5),
+                        (g, 2, 3, 4), (g, 0, 3, 4)]:
+        got = list(series_prefix(g_, x, y, m).coeffs)
+        assert got == corpus.taylor_coefficients_oracle(g_, x, y, m)
+
+
+def test_leading_order_walks_only_to_the_distance(monkeypatch):
+    steps = []
+    real = series_module.scaled_laplacian_apply
+
+    def counting(g, u):
+        steps.append(len(u))
+        return real(g, u)
+
+    monkeypatch.setattr(series_module, "scaled_laplacian_apply", counting)
+    k = 2000
+    two_paths = [(i, i + 1) for i in range(2 * k - 1) if i != k - 1]
+    g = Graph(2 * k, two_paths)
+    assert leading_order(g, 0, 40) == (40, F(1, math.factorial(40)))
+    assert len(steps) == 40
+    steps.clear()
+    with pytest.raises(UnreachableError):
+        leading_order(g, 0, 2 * k - 1)  # no walk step: BFS already decides
+    assert steps == []
+
+
 def test_leading_order_bfs_mismatch_raises(monkeypatch):
     # a real error, not an assert that python -O would strip
     real = series_module.bfs_profile
