@@ -111,7 +111,8 @@ def series_prefix(g: Graph, x: int, y: int, max_order: int) -> SeriesPrefix:
     """
     _check_pair(g, x, y)
     us, dens = _latest_walk(g, x, max_order)
-    return SeriesPrefix(x, y, tuple(Fraction(u[y], den) for u, den in zip(us, dens)))
+    coeffs = [Fraction(u[y], den) for u, den in zip(us, dens)]
+    return SeriesPrefix(x, y, tuple(coeffs))
 
 
 def leading_order(g: Graph, x: int, y: int) -> tuple[int, Fraction]:
