@@ -35,7 +35,6 @@ from .series import (
     SeriesPrefix,
     kernel_taylor_coefficient,
     laplacian_apply,
-    leading_order,
     series_prefix,
     walk_vectors,
 )
@@ -59,53 +58,6 @@ from .varadhan import (
     uniformization_sampler,
     verify_graph,
     verify_pair,
-    weighted_leading,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DuplicateEdgeError",
-    "EdgeListError",
-    "GraphHeatError",
-    "NoConvergence",
-    "ParseError",
-    "PositivityFloor",
-    "SelfLoopError",
-    "UnknownVertexError",
-    "UnreachableError",
-    "WeightError",
-    "DistanceProfile",
-    "Graph",
-    "bfs_profile",
-    "is_bipartite",
-    "parse_edge_list",
-    "DEFAULT_EPS",
-    "HeatKernel",
-    "kernel_spectral",
-    "kernel_uniformization",
-    "SeriesPrefix",
-    "kernel_taylor_coefficient",
-    "laplacian_apply",
-    "leading_order",
-    "series_prefix",
-    "walk_vectors",
-    "KirchhoffMatrix",
-    "SpectralDecomposition",
-    "eigendecompose",
-    "kirchhoff_matrix",
-    "spectral_path_identity",
-    "COUNT_TOL",
-    "EXPONENT_TOL",
-    "POSITIVITY_FLOOR",
-    "STABLE_ROUNDS",
-    "DistanceEstimate",
-    "VaradhanReport",
-    "VerificationSummary",
-    "estimate_pair",
-    "spectral_sampler",
-    "uniformization_sampler",
-    "verify_graph",
-    "verify_pair",
-    "weighted_leading",
-]

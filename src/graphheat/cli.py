@@ -2,12 +2,14 @@
 
 Every subcommand reads one graph file, writes one CSV report (stdout by
 default), and exits 0 on success, 1 when a verification verdict failed, or
-2 on input errors.  Output is deterministic byte-for-byte for a fixed input,
-flag set and BLAS thread count: orderings are stable and floats print in
-shortest round-trip form.  The eigendecomposition and the kernel products
-run in BLAS/LAPACK, whose results can differ in the last bits between thread
-counts; ``estimate`` rows read thresholds off such values and can then
-change too.
+2 on input errors.  Input errors include a non-finite ``--t``, ``--t0`` or
+``--eps``, and a uniformization ``kernel`` whose ``c*t`` (largest weighted
+degree times time) exceeds the engine's cap.  Output is deterministic
+byte-for-byte for a fixed input, flag set and BLAS thread count: orderings
+are stable and floats print in shortest round-trip form.  The
+eigendecomposition and the kernel products run in BLAS/LAPACK, whose results
+can differ in the last bits between thread counts; ``estimate`` rows read
+thresholds off such values and can then change too.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import (
@@ -34,33 +34,9 @@ from .varadhan import (
     estimate_pair,
     spectral_sampler,
     uniformization_sampler,
-    _verify_pair,
     verify_graph,
+    verify_pair,
 )
-
-SUBCOMMANDS = ("kernel", "spectrum", "series", "verify", "estimate", "paths", "bipartite")
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Parsed invocation: one subcommand plus its options.
-
-    ``pairs is None`` means "all pairs" (the per-subcommand default set);
-    explicit pairs are label pairs in the order given.
-    """
-
-    subcommand: str
-    graph_path: str
-    pairs: tuple[tuple[str, str], ...] | None = None
-    t_values: tuple[float, ...] = ()
-    method: str = "spectral"
-    eps: float | None = None
-    t0: float | None = None
-    levels: int = 16
-    max_order: int = 6
-    output: str | None = None
-    source: str | None = None
-    target: str | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,24 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> CommandConfig:
-    pairs = getattr(args, "pair", None)
-    return CommandConfig(
-        subcommand=args.subcommand,
-        graph_path=args.graph,
-        pairs=tuple((u, v) for u, v in pairs) if pairs else None,
-        t_values=tuple(getattr(args, "t_values", ()) or ()),
-        method=getattr(args, "method", "spectral"),
-        eps=getattr(args, "eps", None),
-        t0=getattr(args, "t0", None),
-        levels=getattr(args, "levels", 16),
-        max_order=getattr(args, "max_order", 6),
-        output=args.output,
-        source=getattr(args, "source", None),
-        target=getattr(args, "target", None),
-    )
-
-
 # --- formatting helpers -----------------------------------------------------
 
 
@@ -154,14 +112,9 @@ def _fmt_float(v: float) -> str:
     return repr(float(v) + 0.0)  # + 0.0 normalizes -0.0
 
 
-def _fmt_rational(q) -> str:
-    q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _resolve_pairs(
     g: Graph,
-    explicit: tuple[tuple[str, str], ...] | None,
+    explicit: list[list[str]] | None,
     include_diagonal: bool,
 ) -> list[tuple[int, int]]:
     if explicit is not None:
@@ -185,13 +138,13 @@ def _write_csv(output: str | None, header: list[str], rows: list[list[str]]) -> 
 # --- subcommand implementations ----------------------------------------------
 
 
-def _cmd_kernel(g: Graph, config: CommandConfig):
-    pairs = _resolve_pairs(g, config.pairs, include_diagonal=True)
-    eps = DEFAULT_EPS if config.eps is None else config.eps
+def _cmd_kernel(g: Graph, args: argparse.Namespace):
+    pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
+    eps = DEFAULT_EPS if args.eps is None else args.eps
     rows = []
-    dec = eigendecompose(kirchhoff_matrix(g)) if config.method == "spectral" else None
-    for t in config.t_values:
-        if config.method == "spectral":
+    dec = eigendecompose(kirchhoff_matrix(g)) if args.method == "spectral" else None
+    for t in args.t_values:
+        if args.method == "spectral":
             kern = kernel_spectral(dec, t)
         else:
             kern = kernel_uniformization(g, t, eps)
@@ -202,7 +155,7 @@ def _cmd_kernel(g: Graph, config: CommandConfig):
     return ["t", "x_label", "y_label", "p"], rows, 0
 
 
-def _cmd_spectrum(g: Graph, config: CommandConfig):
+def _cmd_spectrum(g: Graph, args: argparse.Namespace):
     dec = eigendecompose(kirchhoff_matrix(g))
     rows = [
         [str(k + 1), _fmt_float(lam)] for k, lam in enumerate(dec.lambdas)
@@ -210,14 +163,14 @@ def _cmd_spectrum(g: Graph, config: CommandConfig):
     return ["k", "lambda"], rows, 0
 
 
-def _cmd_series(g: Graph, config: CommandConfig):
-    if config.max_order < 0:
-        raise ValueError(f"--max-order must be nonnegative, got {config.max_order}")
-    pairs = _resolve_pairs(g, config.pairs, include_diagonal=True)
+def _cmd_series(g: Graph, args: argparse.Namespace):
+    if args.max_order < 0:
+        raise ValueError(f"--max-order must be nonnegative, got {args.max_order}")
+    pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
     rows = []
     for x, y in pairs:
         # Consecutive pairs from one source share one walk (see series_prefix).
-        prefix = series_prefix(g, x, y, config.max_order)
+        prefix = series_prefix(g, x, y, args.max_order)
         for k, c in enumerate(prefix.coeffs):
             rows.append(
                 [g.labels[x], g.labels[y], str(k), str(c.numerator), str(c.denominator)]
@@ -233,12 +186,11 @@ _VERIFY_HEADER = [
 
 
 def _verify_row(report) -> list[str]:
-    n_geo = Fraction(report.n_geodesics)
     return [
         report.x,
         report.y,
         str(report.d),
-        _fmt_rational(n_geo),
+        str(report.n_geodesics),
         str(report.leading.numerator),
         str(report.leading.denominator),
         str(report.next_coeff.numerator),
@@ -249,10 +201,10 @@ def _verify_row(report) -> list[str]:
     ]
 
 
-def _cmd_verify(g: Graph, config: CommandConfig):
+def _cmd_verify(g: Graph, args: argparse.Namespace):
     rows = []
     any_fail = False
-    if config.pairs is None:
+    if args.pair is None:
         summary = verify_graph(g)
         for report in summary.reports:
             rows.append(_verify_row(report))
@@ -260,10 +212,9 @@ def _cmd_verify(g: Graph, config: CommandConfig):
         for u, v in summary.skipped:
             rows.append([u, v, "unreachable", "", "", "", "", "", "na", "na", "na"])
     else:
-        colors = is_bipartite(g)
-        for x, y in _resolve_pairs(g, config.pairs, include_diagonal=True):
+        for x, y in _resolve_pairs(g, args.pair, include_diagonal=True):
             try:
-                report = _verify_pair(g, x, y, colors)
+                report = verify_pair(g, x, y)
             except UnreachableError:
                 rows.append(
                     [g.labels[x], g.labels[y], "unreachable", "", "", "", "", "",
@@ -275,17 +226,17 @@ def _cmd_verify(g: Graph, config: CommandConfig):
     return _VERIFY_HEADER, rows, (1 if any_fail else 0)
 
 
-def _cmd_estimate(g: Graph, config: CommandConfig):
-    if config.method == "spectral":
+def _cmd_estimate(g: Graph, args: argparse.Namespace):
+    if args.method == "spectral":
         sampler = spectral_sampler(g)
     else:
         sampler = (
             uniformization_sampler(g)
-            if config.eps is None
-            else uniformization_sampler(g, config.eps)
+            if args.eps is None
+            else uniformization_sampler(g, args.eps)
         )
-    if config.t0 is not None:
-        t0 = config.t0
+    if args.t0 is not None:
+        t0 = args.t0
     else:
         c = g.max_weighted_degree()
         t0 = min(0.1, 0.5 / c) if c > 0 else 0.1
@@ -295,10 +246,10 @@ def _cmd_estimate(g: Graph, config: CommandConfig):
                 f"t0 = 0.5/c = {t0!r}; give --t0"
             )
     rows = []
-    for x, y in _resolve_pairs(g, config.pairs, include_diagonal=False):
+    for x, y in _resolve_pairs(g, args.pair, include_diagonal=False):
         lx, ly = g.labels[x], g.labels[y]
         try:
-            est = estimate_pair(sampler, x, y, t0=t0, levels=config.levels)
+            est = estimate_pair(sampler, x, y, t0=t0, levels=args.levels)
         except (NoConvergence, PositivityFloor):
             rows.append([lx, ly, "", "", "", "false"])
             continue
@@ -311,15 +262,15 @@ def _cmd_estimate(g: Graph, config: CommandConfig):
     return ["x", "y", "d_hat", "N_hat", "t_used", "converged"], rows, 0
 
 
-def _cmd_paths(g: Graph, config: CommandConfig):
-    if (config.source is None) != (config.target is None):
+def _cmd_paths(g: Graph, args: argparse.Namespace):
+    if (args.source is None) != (args.target is None):
         raise ValueError("--from and --to must be given together")
-    if config.source is not None:
-        if config.pairs is not None:
+    if args.source is not None:
+        if args.pair is not None:
             raise ValueError("--from/--to and --pair are mutually exclusive")
-        pairs = [(g.index_of(config.source), g.index_of(config.target))]
+        pairs = [(g.index_of(args.source), g.index_of(args.target))]
     else:
-        pairs = _resolve_pairs(g, config.pairs, include_diagonal=False)
+        pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
     profiles: dict[int, object] = {}
     rows = []
     for x, y in pairs:
@@ -334,7 +285,7 @@ def _cmd_paths(g: Graph, config: CommandConfig):
     return ["x", "y", "d", "count"], rows, 0
 
 
-def _cmd_bipartite(g: Graph, config: CommandConfig):
+def _cmd_bipartite(g: Graph, args: argparse.Namespace):
     colors = is_bipartite(g)
     if colors is None:
         rows = [["false", "", ""]]
@@ -354,22 +305,21 @@ _DISPATCH = {
 }
 
 
-def run(config: CommandConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
-    text = Path(config.graph_path).read_text(encoding="utf-8")
+    text = Path(args.graph).read_text(encoding="utf-8")
     g = parse_edge_list(text)
-    header, rows, status = _DISPATCH[config.subcommand](g, config)
-    _write_csv(config.output, header, rows)
+    header, rows, status = _DISPATCH[args.subcommand](g, args)
+    _write_csv(args.output, header, rows)
     return status
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = config_from_args(args)
     try:
-        return run(config)
+        return run(args)
     except EdgeListError as exc:
-        print(f"error: {config.graph_path}: {exc}", file=sys.stderr)
+        print(f"error: {args.graph}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,16 +120,6 @@ class Graph:
     def is_weighted(self) -> bool:
         return self.weights is not None
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(u for u, _ in self._wnbrs[v])
-
-    def neighbor_weights(self, v: int) -> tuple[Fraction, ...]:
-        """Weights aligned with ``neighbors(v)``; all 1 on unweighted graphs."""
-        return tuple(Fraction(w, self.weight_scale) for _, w in self._wnbrs[v])
-
-    def degree(self, v: int) -> int:
-        return len(self._wnbrs[v])
-
     def weighted_degree(self, v: int):
         """Sum of incident edge weights (== degree when unweighted)."""
         if self.weights is None:
@@ -140,14 +130,6 @@ class Graph:
         if self.n == 0:
             return 0.0
         return float(max(self.weighted_degree(v) for v in range(self.n)))
-
-    def edge_weight(self, u: int, v: int):
-        key = (u, v) if u < v else (v, u)
-        if self.weights is None:
-            if v not in self.neighbors(u):
-                raise KeyError(f"no edge ({u}, {v})")
-            return 1
-        return self.weights[key]
 
     def index_of(self, label: str) -> int:
         """Resolve an external vertex name; raises UnknownVertexError if unknown."""
@@ -267,15 +249,6 @@ class DistanceProfile:
     dist: tuple[int | None, ...]
     geodesic_count: tuple[int, ...]
     geodesic_weight: tuple[int | Fraction, ...]
-
-    def reachable(self, v: int) -> bool:
-        return self.dist[v] is not None
-
-    @property
-    def eccentricity(self) -> int:
-        """Largest finite distance from the source."""
-        finite = [d for d in self.dist if d is not None]
-        return max(finite)
 
 
 def bfs_profile(g: Graph, source: int) -> DistanceProfile:

@@ -24,6 +24,17 @@ DEFAULT_EPS = 1e-12
 # e^{-ct} comfortably away from double underflow (exp(-200) ~ 1.4e-87).
 _MAX_POISSON_MEAN = 200.0
 
+# Largest ``c*t`` the uniformization engine accepts: at most 50 semigroup
+# factors of Poisson mean 200 each, so a huge weight or time fails fast.
+_MAX_CT = 1e4
+
+
+def _check_time(t: float) -> None:
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+
 
 @dataclass(frozen=True)
 class HeatKernel:
@@ -32,10 +43,6 @@ class HeatKernel:
     t: float
     K: np.ndarray
     method: str
-
-    @property
-    def n(self) -> int:
-        return int(self.K.shape[0])
 
     def entry(self, x: int, y: int) -> float:
         return float(self.K[x, y])
@@ -47,8 +54,7 @@ def kernel_spectral(dec: SpectralDecomposition, t: float) -> HeatKernel:
     ``t = 0`` returns the exact identity.  The result is symmetrized, so
     ``K[x, y] == K[y, x]`` holds exactly.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     n = dec.n
     if t == 0:
         K = np.eye(n)
@@ -97,13 +103,20 @@ def kernel_uniformization(g: Graph, t: float, eps: float = DEFAULT_EPS) -> HeatK
     identity, which is the exact kernel there.  Large ``c*t`` is split into
     equal semigroup factors to avoid underflow of ``e^{-ct}``; splitting
     preserves nonnegativity since it only multiplies nonnegative matrices.
+    A ``c*t`` above ``1e4`` raises :class:`ValueError`.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     n = g.n
     c = g.max_weighted_degree()
+    if c * t > _MAX_CT:
+        raise ValueError(
+            f"largest weighted degree {c!r} times t = {t!r} exceeds {_MAX_CT!r}, "
+            "the uniformization engine's limit on c*t"
+        )
     if c == 0.0 or t == 0:
         K = np.eye(n)
     else:

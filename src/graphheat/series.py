@@ -17,8 +17,7 @@ from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator, Sequence
 
-from .errors import UnreachableError
-from .graphs import Graph, bfs_profile, scaled_laplacian_apply
+from .graphs import Graph, scaled_laplacian_apply
 
 
 def laplacian_apply(g: Graph, u: Sequence) -> list:
@@ -85,17 +84,6 @@ class SeriesPrefix:
     y: int
     coeffs: tuple[Fraction, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def evaluate(self, t: Fraction | float):
-        """Horner evaluation of the prefix polynomial at t."""
-        acc = self.coeffs[-1] * 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
 
 @functools.lru_cache(maxsize=1)
 def _latest_walk(g: Graph, x: int, depth: int) -> tuple[list[list[int]], list[int]]:
@@ -113,29 +101,3 @@ def series_prefix(g: Graph, x: int, y: int, max_order: int) -> SeriesPrefix:
     us, dens = _latest_walk(g, x, max_order)
     coeffs = [Fraction(u[y], den) for u, den in zip(us, dens)]
     return SeriesPrefix(x, y, tuple(coeffs))
-
-
-def leading_order(g: Graph, x: int, y: int) -> tuple[int, Fraction]:
-    """Order and value of the first nonzero Taylor coefficient of ``p_t(x, y)``.
-
-    Returns ``(d, c)`` where d is the graph distance and
-    ``c = (geodesic weight) / d!`` is strictly positive.  Both facts are
-    cross-checked against an independent BFS before returning; a mismatch
-    raises :class:`RuntimeError`.  Raises :class:`UnreachableError` when BFS
-    finds no path, i.e. the pair spans two components.
-    """
-    _check_pair(g, x, y)
-    d = bfs_profile(g, x).dist[y]
-    if d is None:
-        raise UnreachableError(
-            f"vertices {g.labels[x]!r} and {g.labels[y]!r} are in different components"
-        )
-    for k, (u, den) in zip(range(d + 1), _walk(g, x)):
-        if u[y] != 0:
-            break
-    if k != d or u[y] == 0:
-        raise RuntimeError(f"walk entry at order {k} is {u[y]}, BFS distance {d}")
-    c = Fraction(u[y], den)
-    if c <= 0:
-        raise RuntimeError(f"leading coefficient must be positive, got {c}")
-    return k, c

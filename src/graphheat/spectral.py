@@ -21,14 +21,6 @@ class KirchhoffMatrix:
 
     dense: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return int(self.dense.shape[0])
-
-    @property
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.dense))
-
 
 def kirchhoff_matrix(g: Graph) -> KirchhoffMatrix:
     """Build ``A - D`` for a graph; diagonal entries are minus the weighted degree."""

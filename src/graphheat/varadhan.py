@@ -10,6 +10,7 @@ refinement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from typing import Callable, Literal
 from .errors import NoConvergence, PositivityFloor, UnreachableError
 from .graphs import DistanceProfile, Graph, bfs_profile, is_bipartite
 from .kernels import kernel_spectral, kernel_uniformization
-from .series import kernel_taylor_coefficient, walk_vectors
+from .series import walk_vectors
 from .spectral import eigendecompose, kirchhoff_matrix
 
 Verdict = Literal["pass", "fail", "na"]
@@ -75,10 +76,6 @@ class VerificationSummary:
     reports: tuple[VaradhanReport, ...]
     skipped: tuple[tuple[str, str], ...]
 
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.reports)
-
 
 def _make_report(
     g: Graph,
@@ -122,18 +119,18 @@ def _make_report(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _latest_colouring(g: Graph) -> tuple[int, ...] | None:
+    return is_bipartite(g)
+
+
 def verify_pair(g: Graph, x: int, y: int) -> VaradhanReport:
     """Check the short-time expansion facts for one pair of vertices.
 
-    Raises :class:`UnreachableError` when the pair spans two components.
+    The 2-colouring of the latest graph is kept, so consecutive calls on one
+    graph colour it once.  Raises :class:`UnreachableError` when the pair
+    spans two components.
     """
-    return _verify_pair(g, x, y, is_bipartite(g))
-
-
-def _verify_pair(
-    g: Graph, x: int, y: int, colors: tuple[int, ...] | None
-) -> VaradhanReport:
-    """:func:`verify_pair` with the 2-colouring (or None) already computed."""
     profile = bfs_profile(g, x)
     d = profile.dist[y]
     if d is None:
@@ -141,7 +138,7 @@ def _verify_pair(
             f"vertices {g.labels[x]!r} and {g.labels[y]!r} are in different components"
         )
     us, dens = walk_vectors(g, x, d + 1)
-    return _make_report(g, x, y, profile, us, dens, colors)
+    return _make_report(g, x, y, profile, us, dens, _latest_colouring(g))
 
 
 def verify_graph(g: Graph) -> VerificationSummary:
@@ -164,29 +161,6 @@ def verify_graph(g: Graph) -> VerificationSummary:
             else:
                 reports.append(_make_report(g, x, y, profile, us, dens, colors))
     return VerificationSummary(tuple(reports), tuple(skipped))
-
-
-def weighted_leading(g: Graph, x: int, y: int) -> Fraction:
-    """Sum over geodesics of the product of edge weights along each.
-
-    Computed by the BFS layer recurrence and cross-checked exactly against
-    ``d! * c_d`` from the coefficient recursion before returning; a mismatch
-    raises :class:`RuntimeError`.
-    """
-    profile = bfs_profile(g, x)
-    d = profile.dist[y]
-    if d is None:
-        raise UnreachableError(
-            f"vertices {g.labels[x]!r} and {g.labels[y]!r} are in different components"
-        )
-    total = profile.geodesic_weight[y]
-    c_d = kernel_taylor_coefficient(g, x, y, d)
-    if c_d * math.factorial(d) != total:
-        raise RuntimeError(
-            f"geodesic weight mismatch: recursion gives {c_d * math.factorial(d)}, "
-            f"BFS gives {total}"
-        )
-    return Fraction(total)
 
 
 # --- distance/count recovery from kernel samples ---------------------------
@@ -243,6 +217,8 @@ def estimate_pair(
     """
     if t0 <= 0:
         raise ValueError(f"t0 must be positive, got {t0}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
     if levels < 2:
         raise ValueError(f"levels must be at least 2, got {levels}")
 
@@ -336,6 +312,8 @@ def uniformization_sampler(g: Graph, eps: float = POSITIVITY_FLOOR) -> Sampler:
     pair" — with a loose eps, short times would truncate the series before
     order d and report false zeros.
     """
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
     cache: dict[float, object] = {}
 
     def sample(t: float, x: int, y: int) -> float:

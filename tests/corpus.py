@@ -175,15 +175,17 @@ def taylor_coefficients_oracle(g: Graph, x: int, y: int, max_order: int) -> list
 
 
 def adjacency_apply(g: Graph, u: Sequence) -> list:
-    """Exact adjacency matrix–vector product ``A u`` (weighted where defined)."""
+    """Exact adjacency matrix–vector product ``A u`` (weighted where defined).
+
+    Built from ``g.edges`` and the rational weight map alone.
+    """
     if len(u) != g.n:
         raise ValueError(f"vector length {len(u)} != vertex count {g.n}")
     out = [0] * g.n
-    for v in range(g.n):
-        uv = u[v]
-        if uv:
-            for nbr, w in zip(g.neighbors(v), g.neighbor_weights(v)):
-                out[nbr] += uv * w if g.is_weighted else uv
+    for a, b in g.edges:
+        w = 1 if g.weights is None else g.weights[(a, b)]
+        out[a] += w * u[b]
+        out[b] += w * u[a]
     return out
 
 
@@ -203,3 +205,14 @@ def adjacency_power_entry(g: Graph, k: int, x: int, y: int):
     for _ in range(k):
         vec = adjacency_apply(g, vec)
     return vec[y]
+
+
+def horner(coeffs: Sequence, t):
+    """Evaluate the polynomial ``sum_k coeffs[k] t^k`` at t by Horner's rule.
+
+    Exact on Fraction coefficients and a Fraction t; a float t gives a float.
+    """
+    acc = coeffs[-1] * 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc

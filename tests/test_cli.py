@@ -170,12 +170,31 @@ def test_series_walks_once_per_source(capsys, tmp_path, monkeypatch):
     assert len(out.splitlines()) == 1 + g.n * (g.n + 1) // 2 * 4
 
 
-@pytest.mark.parametrize("command", ["series", "verify"])
-def test_weighted_output_matches_golden_bytes(capsys, command):
-    graph = GOLDEN / "weighted_grid.txt"
-    code, out, _ = run_cli(capsys, [command, "--graph", str(graph)])
+_TWO_PAIRS = ("--pair", "a", "c", "--pair", "e", "a", "--pair", "a", "c",
+              "--pair", "b", "y", "--pair", "e", "e")
+
+
+@pytest.mark.parametrize(
+    "graph, argv, golden",
+    [
+        pytest.param("weighted_grid", ("series",), "weighted_grid_series", id="series"),
+        pytest.param("weighted_grid", ("verify",), "weighted_grid_verify", id="verify"),
+        # a weighted 4-cycle with a pendant vertex, plus a separate edge
+        pytest.param("weighted_two_component", ("verify",),
+                     "weighted_two_component_verify", id="two_component-verify"),
+        pytest.param("weighted_two_component", ("verify", *_TWO_PAIRS),
+                     "weighted_two_component_verify_pairs", id="two_component-verify-pairs"),
+        pytest.param("weighted_two_component", ("paths",),
+                     "weighted_two_component_paths", id="two_component-paths"),
+        pytest.param("weighted_two_component", ("bipartite",),
+                     "weighted_two_component_bipartite", id="two_component-bipartite"),
+    ],
+)
+def test_weighted_output_matches_golden_bytes(capsys, graph, argv, golden):
+    path = GOLDEN / f"{graph}.txt"
+    code, out, _ = run_cli(capsys, [argv[0], "--graph", str(path), *argv[1:]])
     assert code == 0
-    assert out == (GOLDEN / f"weighted_grid_{command}.csv").read_text(encoding="utf-8")
+    assert out == (GOLDEN / f"{golden}.csv").read_text(encoding="utf-8")
 
 
 # --- verify ------------------------------------------------------------------
@@ -236,6 +255,16 @@ def test_verify_pairs_colour_the_graph_once(capsys, grid_file, monkeypatch):
 
     monkeypatch.setattr(cli, "is_bipartite", counting)
     monkeypatch.setattr(varadhan, "is_bipartite", counting)
+    # each explicit pair goes through the public verify_pair
+    pairs = []
+    real_pair = varadhan.verify_pair
+    assert cli.verify_pair is real_pair
+
+    def counting_pair(g, x, y):
+        pairs.append((x, y))
+        return real_pair(g, x, y)
+
+    monkeypatch.setattr(cli, "verify_pair", counting_pair)
     argv = ["verify", "--graph", grid_file]
     for pair in (("a0", "b2"), ("a1", "b0"), ("b2", "b2")):
         argv += ["--pair", *pair]
@@ -243,6 +272,7 @@ def test_verify_pairs_colour_the_graph_once(capsys, grid_file, monkeypatch):
     assert code == 0
     assert len(out.splitlines()) == 4
     assert len(calls) == 1
+    assert len(pairs) == 3
 
 
 def test_verify_weighted_rational_count(capsys, tmp_path):
@@ -464,6 +494,39 @@ def test_default_t0_underflow_names_the_weighted_degree(capsys, tmp_path):
     assert out == ""
     assert "largest weighted degree 1e+308" in err
     assert "t0 must be positive" not in err
+
+
+_UNIF = ("--method", "uniformization")
+_PATH_AC = ("--pair", "a", "c")
+
+
+@pytest.mark.parametrize(
+    "text, command, expect",
+    [
+        pytest.param("a b\nb c\n", ["kernel", *_PATH_AC, "--t", "inf", *_UNIF],
+                     "time must be finite", id="kernel-t-inf-uniformization"),
+        pytest.param("a b\nb c\n", ["kernel", *_PATH_AC, "--t", "1", "--eps", "nan", *_UNIF],
+                     "eps must be finite", id="kernel-eps-nan"),
+        pytest.param("a b\nb c\n", ["kernel", *_PATH_AC, "--t", "nan"],
+                     "time must be finite", id="kernel-t-nan-spectral"),
+        pytest.param("a b\nb c\n", ["estimate", *_PATH_AC, "--t0", "inf"],
+                     "t0 must be finite", id="estimate-t0-inf"),
+        pytest.param("a b\nb c\n", ["estimate", *_PATH_AC, "--t0", "nan"],
+                     "t0 must be finite", id="estimate-t0-nan"),
+        pytest.param("a b\nb c\n", ["estimate", *_PATH_AC, *_UNIF, "--eps", "inf"],
+                     "eps must be finite", id="estimate-eps-inf"),
+        pytest.param("a b 1e300\nb c\n", ["kernel", "--t", "0.1", *_UNIF],
+                     "largest weighted degree 1e+300", id="kernel-huge-weight"),
+        pytest.param("a b\nb c\n", ["kernel", "--t", "1e300", *_UNIF],
+                     "largest weighted degree 2.0", id="kernel-huge-t"),
+    ],
+)
+def test_non_finite_option_or_huge_ct_rejected(capsys, tmp_path, text, command, expect):
+    # each of these once hung, raised a traceback or printed a nan or
+    # "unreachable" row
+    err = rejected_graph_stderr(capsys, tmp_path, command, text)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expect in err
 
 
 def test_missing_required_t_flag(grid_file):

@@ -193,6 +193,15 @@ def test_negative_time_rejected():
         kernel_spectral(eigendecompose(kirchhoff_matrix(g)), -0.5)
 
 
+def test_uniformization_caps_c_times_t():
+    # path of 3: largest weighted degree c = 2, so t = 5000 is the largest
+    # accepted c*t = 1e4 (50 semigroup factors), near the limit 1/3 everywhere
+    g = corpus.path_graph(3)
+    np.testing.assert_allclose(kernel_uniformization(g, 5000.0).K, 1 / 3, atol=1e-9)
+    with pytest.raises(ValueError, match="largest weighted degree 2.0 times t = 5000.5"):
+        kernel_uniformization(g, 5000.5)
+
+
 # --- accessors --------------------------------------------------------------
 
 

@@ -1,6 +1,5 @@
 """Exact short-time Taylor data for kernel entries."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -13,13 +12,14 @@ import corpus
 from graphheat import (
     Graph,
     UnreachableError,
+    bfs_profile,
     eigendecompose,
     kernel_spectral,
     kernel_taylor_coefficient,
     kirchhoff_matrix,
     laplacian_apply,
-    leading_order,
     series_prefix,
+    verify_pair,
     walk_vectors,
 )
 from graphheat import series as series_module
@@ -174,25 +174,34 @@ def test_coefficients_match_float_matrix_powers(seed):
 # --- leading order ----------------------------------------------------------
 
 
+def leading(g: Graph, x: int, y: int) -> tuple[int, F]:
+    """The BFS distance d and the Taylor coefficient of order d."""
+    d = bfs_profile(g, x).dist[y]
+    return d, kernel_taylor_coefficient(g, x, y, d)
+
+
 def test_leading_order_grid():
     g = corpus.reference_grid()
     a, b, c = g.index_of("a0"), g.index_of("b1"), g.index_of("b2")
-    assert leading_order(g, a, b) == (2, F(1))
-    assert leading_order(g, a, c) == (3, F(1, 2))
-    assert leading_order(g, a, a) == (0, F(1))
+    assert leading(g, a, b) == (2, F(1))
+    assert leading(g, a, c) == (3, F(1, 2))
+    assert leading(g, a, a) == (0, F(1))
 
 
 def test_leading_order_weighted_path():
     # path with edge weights 2 and 1/3: single geodesic of weight 2/3,
     # so the distance-2 coefficient is (2/3)/2! = 1/3
     g = Graph(3, [(0, 1), (1, 2)], weights={(0, 1): 2, (1, 2): F(1, 3)})
-    assert leading_order(g, 0, 2) == (2, F(1, 3))
+    assert leading(g, 0, 2) == (2, F(1, 3))
 
 
 def test_leading_order_unreachable_raises():
+    # across components p_t(x, y) is identically 0: no order leads
     g = Graph(4, [(0, 1), (2, 3)])
+    assert bfs_profile(g, 0).dist[3] is None
+    assert all(kernel_taylor_coefficient(g, 0, 3, k) == 0 for k in range(6))
     with pytest.raises(UnreachableError):
-        leading_order(g, 0, 3)
+        verify_pair(g, 0, 3)
 
 
 def test_series_prefix_calls_in_any_order_match_oracle():
@@ -217,33 +226,20 @@ def test_leading_order_walks_only_to_the_distance(monkeypatch):
     k = 2000
     two_paths = [(i, i + 1) for i in range(2 * k - 1) if i != k - 1]
     g = Graph(2 * k, two_paths)
-    assert leading_order(g, 0, 40) == (40, F(1, math.factorial(40)))
+    assert kernel_taylor_coefficient(g, 0, 40, 40) == F(1, math.factorial(40))
     assert len(steps) == 40
     steps.clear()
+    assert verify_pair(g, 0, 40).d == 40
+    assert len(steps) == 41  # one past the distance, for the next coefficient
+    steps.clear()
     with pytest.raises(UnreachableError):
-        leading_order(g, 0, 2 * k - 1)  # no walk step: BFS already decides
+        verify_pair(g, 0, 2 * k - 1)  # no walk step: BFS already decides
     assert steps == []
-
-
-def test_leading_order_bfs_mismatch_raises(monkeypatch):
-    # a real error, not an assert that python -O would strip
-    real = series_module.bfs_profile
-
-    def wrong_distance(g, source):
-        profile = real(g, source)
-        dist = tuple(None if d is None else d + 1 for d in profile.dist)
-        return dataclasses.replace(profile, dist=dist)
-
-    monkeypatch.setattr(series_module, "bfs_profile", wrong_distance)
-    with pytest.raises(RuntimeError, match="BFS distance"):
-        leading_order(corpus.path_graph(3), 0, 2)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_coefficients_vanish_below_distance_exactly(seed):
     g = corpus.random_connected_graph(900 + seed, 11, 0.3)
-    from graphheat import bfs_profile
-
     for x in range(0, g.n, 5):
         profile = bfs_profile(g, x)
         for y in range(g.n):
@@ -259,7 +255,7 @@ def test_bipartite_next_coefficient_is_negative():
     for g in (corpus.cycle_graph(6), corpus.reference_grid(), corpus.grid_graph(3, 3)):
         for x in range(0, g.n, 2):
             for y in range(x + 1, g.n):
-                d, _ = leading_order(g, x, y)
+                d = bfs_profile(g, x).dist[y]
                 assert kernel_taylor_coefficient(g, x, y, d + 1) < 0
 
 
@@ -270,7 +266,6 @@ def test_prefix_metadata_and_order():
     g = corpus.reference_grid()
     sp = series_prefix(g, 0, 5, 4)
     assert (sp.x, sp.y) == (0, 5)
-    assert sp.order == 4
     assert len(sp.coeffs) == 5
 
 
@@ -279,7 +274,7 @@ def test_evaluate_is_exact_on_rational_inputs():
     sp = series_prefix(g, 0, 1, 3)
     t = F(1, 10)
     # t - t^2 + (2/3) t^3 at t = 1/10
-    assert sp.evaluate(t) == F(1, 10) - F(1, 100) + F(2, 3000)
+    assert corpus.horner(sp.coeffs, t) == F(1, 10) - F(1, 100) + F(2, 3000)
 
 
 def test_evaluate_matches_horner_free_sum():
@@ -287,7 +282,7 @@ def test_evaluate_matches_horner_free_sum():
     sp = series_prefix(g, 0, 4, 6)
     t = 0.037
     direct = sum(float(c) * t**k for k, c in enumerate(sp.coeffs))
-    assert sp.evaluate(t) == pytest.approx(direct, rel=1e-12)
+    assert corpus.horner(sp.coeffs, t) == pytest.approx(direct, rel=1e-12)
 
 
 def test_negative_order_rejected():
@@ -311,7 +306,7 @@ def test_prefix_remainder_scales_with_next_power():
     sp = series_prefix(g, x, y, m)
 
     def defect(t: float) -> float:
-        return abs(kernel_spectral(dec, t).entry(x, y) - sp.evaluate(t))
+        return abs(kernel_spectral(dec, t).entry(x, y) - corpus.horner(sp.coeffs, t))
 
     t0 = 0.02
     d1, d2 = defect(t0), defect(t0 / 2)
@@ -324,5 +319,5 @@ def test_partial_sums_converge_to_kernel_value():
     dec = eigendecompose(kirchhoff_matrix(g))
     t = 0.11
     want = kernel_spectral(dec, t).entry(0, 2)
-    got = series_prefix(g, 0, 2, 30).evaluate(t)
+    got = corpus.horner(series_prefix(g, 0, 2, 30).coeffs, t)
     assert got == pytest.approx(want, abs=1e-13)

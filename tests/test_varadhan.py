@@ -1,6 +1,5 @@
 """Pair verification reports and sample-based distance recovery."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,14 +11,14 @@ from graphheat import (
     NoConvergence,
     PositivityFloor,
     UnreachableError,
+    bfs_profile,
     estimate_pair,
+    kernel_taylor_coefficient,
     spectral_sampler,
     uniformization_sampler,
     verify_graph,
     verify_pair,
-    weighted_leading,
 )
-from graphheat import varadhan as varadhan_module
 
 F = Fraction
 
@@ -87,7 +86,7 @@ def test_verify_graph_grid_shape():
     summary = verify_graph(corpus.reference_grid())
     assert len(summary.reports) == 15  # all unordered pairs of 6 vertices
     assert summary.skipped == ()
-    assert summary.all_pass
+    assert all(r.passed for r in summary.reports)
 
 
 def test_verify_graph_matches_pairwise_calls():
@@ -106,14 +105,14 @@ def test_verify_graph_collects_cross_component_pairs():
     assert set(summary.skipped) == {
         ("a", "d"), ("a", "e"), ("b", "d"), ("b", "e"), ("c", "d"), ("c", "e"),
     }
-    assert summary.all_pass
+    assert all(r.passed for r in summary.reports)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_verify_graph_passes_on_random_bipartite(seed):
     g = corpus.random_bipartite_graph(1000 + seed, 5, 5, 0.4)
     summary = verify_graph(g)
-    assert summary.all_pass
+    assert all(r.passed for r in summary.reports)
     for r in summary.reports:
         assert r.bipartite_sign in ("pass", "na")
 
@@ -128,29 +127,21 @@ def test_verify_graph_weighted_uses_geodesic_weight():
 
 
 def test_weighted_leading_golden():
+    # the BFS geodesic weight equals d! times the order-d Taylor coefficient
     g = Graph(3, [(0, 1), (1, 2)], weights={(0, 1): 2, (1, 2): F(1, 3)})
-    assert weighted_leading(g, 0, 2) == F(2, 3)
-    assert weighted_leading(g, 0, 1) == F(2)
+    profile = bfs_profile(g, 0)
+    for y, want in ((2, F(2, 3)), (1, F(2))):
+        d = profile.dist[y]
+        assert profile.geodesic_weight[y] == want
+        assert kernel_taylor_coefficient(g, 0, y, d) * math.factorial(d) == want
 
 
 def test_weighted_leading_unreachable():
+    g = Graph(3, [(0, 1)], weights={(0, 1): F(1, 2)})
+    profile = bfs_profile(g, 0)
+    assert profile.dist[2] is None and profile.geodesic_weight[2] == 0
     with pytest.raises(UnreachableError):
-        weighted_leading(Graph(3, [(0, 1)]), 0, 2)
-
-
-def test_weighted_leading_bfs_mismatch_raises(monkeypatch):
-    # a real error, not an assert that python -O would strip
-    real = varadhan_module.bfs_profile
-
-    def wrong_weight(g, source):
-        profile = real(g, source)
-        weight = tuple(w + 1 for w in profile.geodesic_weight)
-        return dataclasses.replace(profile, geodesic_weight=weight)
-
-    monkeypatch.setattr(varadhan_module, "bfs_profile", wrong_weight)
-    g = Graph(3, [(0, 1), (1, 2)], weights={(0, 1): 2, (1, 2): F(1, 3)})
-    with pytest.raises(RuntimeError, match="geodesic weight mismatch"):
-        weighted_leading(g, 0, 2)
+        verify_pair(g, 0, 2)
 
 
 # --- distance recovery -------------------------------------------------------
