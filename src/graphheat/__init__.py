@@ -6,6 +6,8 @@ uniformization), geodesic counting, and recovery of distances and geodesic
 counts from kernel samples alone.
 """
 
+import importlib
+
 from .errors import (
     DuplicateEdgeError,
     EdgeListError,
@@ -25,25 +27,12 @@ from .graphs import (
     is_bipartite,
     parse_edge_list,
 )
-from .kernels import (
-    DEFAULT_EPS,
-    HeatKernel,
-    kernel_spectral,
-    kernel_uniformization,
-)
 from .series import (
     SeriesPrefix,
     kernel_taylor_coefficient,
     laplacian_apply,
     series_prefix,
     walk_vectors,
-)
-from .spectral import (
-    KirchhoffMatrix,
-    SpectralDecomposition,
-    eigendecompose,
-    kirchhoff_matrix,
-    spectral_path_identity,
 )
 from .varadhan import (
     COUNT_TOL,
@@ -61,3 +50,28 @@ from .varadhan import (
 )
 
 __version__ = "0.1.0"
+
+# The numpy-backed names load on first use (PEP 562), so the exact layer
+# (graphs, series, verification) imports without numpy.
+_FLOAT_NAMES = {
+    "DEFAULT_EPS": "kernels",
+    "HeatKernel": "kernels",
+    "kernel_spectral": "kernels",
+    "kernel_uniformization": "kernels",
+    "KirchhoffMatrix": "spectral",
+    "SpectralDecomposition": "spectral",
+    "eigendecompose": "spectral",
+    "kirchhoff_matrix": "spectral",
+    "spectral_path_identity": "spectral",
+}
+
+
+def __getattr__(name: str):
+    module = _FLOAT_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_FLOAT_NAMES))

@@ -10,6 +10,9 @@ are stable and floats print in shortest round-trip form.  The
 eigendecomposition and the kernel products run in BLAS/LAPACK, whose results
 can differ in the last bits between thread counts; ``estimate`` rows read
 thresholds off such values and can then change too.
+
+Only ``spectrum``, ``kernel`` and ``estimate`` load numpy; ``series``,
+``verify``, ``paths`` and ``bipartite`` run in exact arithmetic without it.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ from .errors import (
     UnreachableError,
 )
 from .graphs import Graph, bfs_profile, is_bipartite, parse_edge_list
-from .kernels import DEFAULT_EPS, kernel_spectral, kernel_uniformization
 from .series import series_prefix
-from .spectral import eigendecompose, kirchhoff_matrix
 from .varadhan import (
     estimate_pair,
     spectral_sampler,
@@ -139,6 +140,9 @@ def _write_csv(output: str | None, header: list[str], rows: list[list[str]]) -> 
 
 
 def _cmd_kernel(g: Graph, args: argparse.Namespace):
+    from .kernels import DEFAULT_EPS, kernel_spectral, kernel_uniformization
+    from .spectral import eigendecompose, kirchhoff_matrix
+
     pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
     eps = DEFAULT_EPS if args.eps is None else args.eps
     rows = []
@@ -156,6 +160,8 @@ def _cmd_kernel(g: Graph, args: argparse.Namespace):
 
 
 def _cmd_spectrum(g: Graph, args: argparse.Namespace):
+    from .spectral import eigendecompose, kirchhoff_matrix
+
     dec = eigendecompose(kirchhoff_matrix(g))
     rows = [
         [str(k + 1), _fmt_float(lam)] for k, lam in enumerate(dec.lambdas)
@@ -303,6 +309,15 @@ _DISPATCH = {
     "paths": _cmd_paths,
     "bipartite": _cmd_bipartite,
 }
+
+
+def __getattr__(name: str):
+    # ``cli.eigendecompose`` stays readable without loading numpy at import.
+    if name == "eigendecompose":
+        from .spectral import eigendecompose
+
+        return eigendecompose
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run(args: argparse.Namespace) -> int:

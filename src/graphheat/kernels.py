@@ -9,6 +9,7 @@ entries keep relative accuracy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,6 +94,14 @@ def _poisson_series(P: np.ndarray, ct: float, eps: float) -> np.ndarray:
     return S
 
 
+@functools.lru_cache(maxsize=1)
+def _latest_shifted_matrix(g: Graph) -> np.ndarray:
+    """``P = (A - D)/c + I`` of the latest graph, built once for all its times."""
+    P = kirchhoff_matrix(g).dense / g.max_weighted_degree() + np.eye(g.n)
+    P.setflags(write=False)
+    return P
+
+
 def kernel_uniformization(g: Graph, t: float, eps: float = DEFAULT_EPS) -> HeatKernel:
     """Evaluate ``e^{t(A-D)}`` through the substochastic shift ``P = (A-D)/c + I``.
 
@@ -120,7 +129,7 @@ def kernel_uniformization(g: Graph, t: float, eps: float = DEFAULT_EPS) -> HeatK
     if c == 0.0 or t == 0:
         K = np.eye(n)
     else:
-        P = kirchhoff_matrix(g).dense / c + np.eye(n)
+        P = _latest_shifted_matrix(g)
         ct = c * t
         steps = max(1, math.ceil(ct / _MAX_POISSON_MEAN))
         factor = _poisson_series(P, ct / steps, eps / steps)

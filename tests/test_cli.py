@@ -174,27 +174,60 @@ _TWO_PAIRS = ("--pair", "a", "c", "--pair", "e", "a", "--pair", "a", "c",
               "--pair", "b", "y", "--pair", "e", "e")
 
 
-@pytest.mark.parametrize(
-    "graph, argv, golden",
-    [
-        pytest.param("weighted_grid", ("series",), "weighted_grid_series", id="series"),
-        pytest.param("weighted_grid", ("verify",), "weighted_grid_verify", id="verify"),
-        # a weighted 4-cycle with a pendant vertex, plus a separate edge
-        pytest.param("weighted_two_component", ("verify",),
-                     "weighted_two_component_verify", id="two_component-verify"),
-        pytest.param("weighted_two_component", ("verify", *_TWO_PAIRS),
-                     "weighted_two_component_verify_pairs", id="two_component-verify-pairs"),
-        pytest.param("weighted_two_component", ("paths",),
-                     "weighted_two_component_paths", id="two_component-paths"),
-        pytest.param("weighted_two_component", ("bipartite",),
-                     "weighted_two_component_bipartite", id="two_component-bipartite"),
-    ],
-)
+# Every golden case runs an exact subcommand (series, verify, paths, bipartite).
+_WEIGHTED_GOLDEN = [
+    pytest.param("weighted_grid", ("series",), "weighted_grid_series", id="series"),
+    pytest.param("weighted_grid", ("verify",), "weighted_grid_verify", id="verify"),
+    # a weighted 4-cycle with a pendant vertex, plus a separate edge
+    pytest.param("weighted_two_component", ("verify",),
+                 "weighted_two_component_verify", id="two_component-verify"),
+    pytest.param("weighted_two_component", ("verify", *_TWO_PAIRS),
+                 "weighted_two_component_verify_pairs", id="two_component-verify-pairs"),
+    pytest.param("weighted_two_component", ("paths",),
+                 "weighted_two_component_paths", id="two_component-paths"),
+    pytest.param("weighted_two_component", ("bipartite",),
+                 "weighted_two_component_bipartite", id="two_component-bipartite"),
+]
+
+
+def golden_argv(graph: str, argv: tuple[str, ...]) -> list[str]:
+    return [argv[0], "--graph", str(GOLDEN / f"{graph}.txt"), *argv[1:]]
+
+
+@pytest.mark.parametrize("graph, argv, golden", _WEIGHTED_GOLDEN)
 def test_weighted_output_matches_golden_bytes(capsys, graph, argv, golden):
-    path = GOLDEN / f"{graph}.txt"
-    code, out, _ = run_cli(capsys, [argv[0], "--graph", str(path), *argv[1:]])
+    code, out, _ = run_cli(capsys, golden_argv(graph, argv))
     assert code == 0
     assert out == (GOLDEN / f"{golden}.csv").read_text(encoding="utf-8")
+
+
+# With "blocked", numpy is unimportable: a None entry in sys.modules makes
+# every ``import numpy`` raise ImportError.  Either way the child reports on
+# stderr whether numpy was loaded by the time main() returned.
+_NUMPY_FREE_CHILD = """\
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from graphheat.cli import main
+code = main(sys.argv[2:])
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("mode", ["blocked", "unblocked"])
+@pytest.mark.parametrize("graph, argv, golden", _WEIGHTED_GOLDEN)
+def test_exact_subcommands_run_without_numpy(graph, argv, golden, mode):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_CHILD, mode, *golden_argv(graph, argv)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{golden}.csv").read_text(encoding="utf-8")
+    if mode == "unblocked":
+        assert proc.stderr == "False\n"
 
 
 # --- verify ------------------------------------------------------------------

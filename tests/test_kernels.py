@@ -1,11 +1,13 @@
 """Heat kernel engines: spectral synthesis and uniformized Poisson series."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
 import corpus
+import graphheat
 from graphheat import (
     Graph,
     HeatKernel,
@@ -14,6 +16,7 @@ from graphheat import (
     kernel_uniformization,
     kirchhoff_matrix,
 )
+from graphheat import kernels
 from graphheat.cli import main
 
 TS = (0.01, 0.1, 1.0, 5.0)
@@ -202,6 +205,25 @@ def test_uniformization_caps_c_times_t():
         kernel_uniformization(g, 5000.5)
 
 
+def test_uniformization_builds_the_kirchhoff_matrix_once_per_graph(monkeypatch):
+    calls = []
+    real = kernels.kirchhoff_matrix
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(kernels, "kirchhoff_matrix", counting)
+    g = corpus.random_weighted_graph(1, 12, 0.3)
+    kept = [kernel_uniformization(g, t).K for t in TS]
+    assert calls == [g]
+    # the kept matrix gives the same bits as one built afresh for an equal graph
+    for t, K in zip(TS, kept):
+        fresh = corpus.random_weighted_graph(1, 12, 0.3)
+        assert np.array_equal(kernel_uniformization(fresh, t).K, K)
+    assert len(calls) == 1 + len(TS)
+
+
 # --- accessors --------------------------------------------------------------
 
 
@@ -232,3 +254,33 @@ def test_kernel_matrix_is_read_only():
     hk = kernel_uniformization(g, 0.1)
     with pytest.raises(ValueError):
         hk.K[0, 0] = 2.0
+
+
+# --- package surface ----------------------------------------------------------
+
+_FLOAT_NAMES = [
+    ("kernels", "DEFAULT_EPS"),
+    ("kernels", "HeatKernel"),
+    ("kernels", "kernel_spectral"),
+    ("kernels", "kernel_uniformization"),
+    ("spectral", "KirchhoffMatrix"),
+    ("spectral", "SpectralDecomposition"),
+    ("spectral", "eigendecompose"),
+    ("spectral", "kirchhoff_matrix"),
+    ("spectral", "spectral_path_identity"),
+]
+
+
+@pytest.mark.parametrize("module, name", _FLOAT_NAMES)
+def test_float_names_are_served_by_the_package(module, name):
+    expected = getattr(importlib.import_module(f"graphheat.{module}"), name)
+    assert getattr(graphheat, name) is expected
+    namespace: dict = {}
+    exec(f"from graphheat import {name}", namespace)
+    assert namespace[name] is expected
+    assert name in dir(graphheat)
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graphheat.no_such_name
