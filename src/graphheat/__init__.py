@@ -28,7 +28,6 @@ from .graphs import (
     parse_edge_list,
 )
 from .series import (
-    SeriesPrefix,
     kernel_taylor_coefficient,
     laplacian_apply,
     series_prefix,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 # (graphs, series, verification) imports without numpy.
 _FLOAT_NAMES = {
     "DEFAULT_EPS": "kernels",
-    "HeatKernel": "kernels",
     "kernel_spectral": "kernels",
     "kernel_uniformization": "kernels",
     "KirchhoffMatrix": "spectral",

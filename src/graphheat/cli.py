@@ -18,6 +18,7 @@ Only ``spectrum``, ``kernel`` and ``estimate`` load numpy; ``series``,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 from pathlib import Path
@@ -32,6 +33,9 @@ from .errors import (
 from .graphs import Graph, bfs_profile, is_bipartite, parse_edge_list
 from .series import series_prefix
 from .varadhan import (
+    POSITIVITY_FLOOR,
+    VaradhanReport,
+    check_schedule,
     estimate_pair,
     spectral_sampler,
     uniformization_sampler,
@@ -125,12 +129,12 @@ def _resolve_pairs(
 
 
 def _write_csv(output: str | None, header: list[str], rows: list[list[str]]) -> None:
-    if output is None or output == "-":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(output, "w", encoding="utf-8", newline="") as fh:
+    to_stdout = output is None or output == "-"
+    with (
+        contextlib.nullcontext(sys.stdout)
+        if to_stdout
+        else open(output, "w", encoding="utf-8", newline="")
+    ) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -149,13 +153,11 @@ def _cmd_kernel(g: Graph, args: argparse.Namespace):
     dec = eigendecompose(kirchhoff_matrix(g)) if args.method == "spectral" else None
     for t in args.t_values:
         if args.method == "spectral":
-            kern = kernel_spectral(dec, t)
+            K = kernel_spectral(dec, t)
         else:
-            kern = kernel_uniformization(g, t, eps)
+            K = kernel_uniformization(g, t, eps)
         for x, y in pairs:
-            rows.append(
-                [_fmt_float(t), g.labels[x], g.labels[y], _fmt_float(kern.entry(x, y))]
-            )
+            rows.append([_fmt_float(t), g.labels[x], g.labels[y], _fmt_float(K[x, y])])
     return ["t", "x_label", "y_label", "p"], rows, 0
 
 
@@ -176,8 +178,7 @@ def _cmd_series(g: Graph, args: argparse.Namespace):
     rows = []
     for x, y in pairs:
         # Consecutive pairs from one source share one walk (see series_prefix).
-        prefix = series_prefix(g, x, y, args.max_order)
-        for k, c in enumerate(prefix.coeffs):
+        for k, c in enumerate(series_prefix(g, x, y, args.max_order)):
             rows.append(
                 [g.labels[x], g.labels[y], str(k), str(c.numerator), str(c.denominator)]
             )
@@ -191,7 +192,9 @@ _VERIFY_HEADER = [
 ]
 
 
-def _verify_row(report) -> list[str]:
+def _verify_row(report: VaradhanReport | tuple[str, str]) -> list[str]:
+    if isinstance(report, tuple):  # the labels of a pair split across components
+        return [*report, "unreachable", "", "", "", "", "", "na", "na", "na"]
     return [
         report.x,
         report.y,
@@ -208,27 +211,18 @@ def _verify_row(report) -> list[str]:
 
 
 def _cmd_verify(g: Graph, args: argparse.Namespace):
-    rows = []
-    any_fail = False
     if args.pair is None:
         summary = verify_graph(g)
-        for report in summary.reports:
-            rows.append(_verify_row(report))
-            any_fail = any_fail or not report.passed
-        for u, v in summary.skipped:
-            rows.append([u, v, "unreachable", "", "", "", "", "", "na", "na", "na"])
+        results = [*summary.reports, *summary.skipped]
     else:
+        results = []
         for x, y in _resolve_pairs(g, args.pair, include_diagonal=True):
             try:
-                report = verify_pair(g, x, y)
+                results.append(verify_pair(g, x, y))
             except UnreachableError:
-                rows.append(
-                    [g.labels[x], g.labels[y], "unreachable", "", "", "", "", "",
-                     "na", "na", "na"]
-                )
-                continue
-            rows.append(_verify_row(report))
-            any_fail = any_fail or not report.passed
+                results.append((g.labels[x], g.labels[y]))
+    rows = [_verify_row(r) for r in results]
+    any_fail = any(isinstance(r, VaradhanReport) and not r.passed for r in results)
     return _VERIFY_HEADER, rows, (1 if any_fail else 0)
 
 
@@ -236,11 +230,7 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
     if args.method == "spectral":
         sampler = spectral_sampler(g)
     else:
-        sampler = (
-            uniformization_sampler(g)
-            if args.eps is None
-            else uniformization_sampler(g, args.eps)
-        )
+        sampler = uniformization_sampler(g, POSITIVITY_FLOOR if args.eps is None else args.eps)
     if args.t0 is not None:
         t0 = args.t0
     else:
@@ -251,8 +241,10 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
                 f"largest weighted degree {c!r} is too large for the default "
                 f"t0 = 0.5/c = {t0!r}; give --t0"
             )
+    pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
+    check_schedule(t0, args.levels)  # also on a graph without pairs
     rows = []
-    for x, y in _resolve_pairs(g, args.pair, include_diagonal=False):
+    for x, y in pairs:
         lx, ly = g.labels[x], g.labels[y]
         try:
             est = estimate_pair(sampler, x, y, t0=t0, levels=args.levels)
@@ -271,15 +263,14 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
 def _cmd_paths(g: Graph, args: argparse.Namespace):
     if (args.source is None) != (args.target is None):
         raise ValueError("--from and --to must be given together")
+    explicit = args.pair
     if args.source is not None:
         if args.pair is not None:
             raise ValueError("--from/--to and --pair are mutually exclusive")
-        pairs = [(g.index_of(args.source), g.index_of(args.target))]
-    else:
-        pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
+        explicit = [[args.source, args.target]]
     profiles: dict[int, object] = {}
     rows = []
-    for x, y in pairs:
+    for x, y in _resolve_pairs(g, explicit, include_diagonal=False):
         profile = profiles.get(x)
         if profile is None:
             profile = profiles[x] = bfs_profile(g, x)
@@ -336,10 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     except EdgeListError as exc:
         print(f"error: {args.graph}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, GraphHeatError) as exc:
+    except (OSError, ValueError, GraphHeatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,8 @@ class Graph:
         Optional mapping from edge (either orientation) to a positive
         rational.  Absent edges default to weight 1.  ``None`` means the
         graph is unweighted and all exact arithmetic stays on integers.
+        Each weight, and the largest weighted degree, must keep a positive
+        finite float value, which is all the float engines see.
     labels:
         Optional external vertex names, one per vertex, unique.
 
@@ -97,8 +99,11 @@ class Graph:
                 if key not in seen:
                     raise WeightError(f"weight given for non-edge ({u}, {v})")
                 w = Fraction(w)
-                if w <= 0:
-                    raise WeightError(f"edge weight must be positive, got {w}")
+                if not _is_float_representable(w):
+                    raise WeightError(
+                        f"edge {labels[key[0]]!r} -- {labels[key[1]]!r}: weight {w} "
+                        "is not a positive finite float"
+                    )
                 wmap[key] = w
             for key in elist:
                 wmap.setdefault(key, Fraction(1))
@@ -113,6 +118,12 @@ class Graph:
         self.weight_scale = scale
         self._wnbrs = tuple(map(tuple, wnbrs))
         self._ideg = tuple(sum(w for _, w in row) for row in wnbrs)
+        if wmap:
+            heaviest = max(range(n), key=self._ideg.__getitem__)
+            if not _is_float_representable(self.weighted_degree(heaviest)):
+                raise WeightError(
+                    f"weighted degree of vertex {labels[heaviest]!r} is not a finite float"
+                )
 
     # -- basic accessors ---------------------------------------------------
 
@@ -206,19 +217,12 @@ def parse_edge_list(text: str) -> Graph:
             weights[key] = w
             any_weight = True
 
-    g = Graph(
+    return Graph(
         len(labels),
         edges,
         weights=weights if any_weight else None,
         labels=labels,
     )
-    if g.is_weighted:
-        heaviest = max(range(g.n), key=g.weighted_degree)
-        if not _is_float_representable(g.weighted_degree(heaviest)):
-            raise WeightError(
-                f"weighted degree of vertex {g.labels[heaviest]!r} is not a finite float"
-            )
-    return g
 
 
 def _is_float_representable(q: Fraction) -> bool:
@@ -238,14 +242,13 @@ def _is_float_representable(q: Fraction) -> bool:
 class DistanceProfile:
     """Single-source BFS summary.
 
-    ``dist[v]`` is the hop distance from ``source`` (``None`` if v is in a
+    ``dist[v]`` is the hop distance from the source (``None`` if v is in a
     different component).  ``geodesic_count[v]`` counts shortest paths as an
     exact integer; ``geodesic_weight[v]`` sums, over those paths, the product
     of edge weights along each (equal to the count when unweighted).
     Unreachable vertices get count 0 and weight 0.
     """
 
-    source: int
     dist: tuple[int | None, ...]
     geodesic_count: tuple[int, ...]
     geodesic_weight: tuple[int | Fraction, ...]
@@ -282,11 +285,11 @@ def bfs_profile(g: Graph, source: int) -> DistanceProfile:
                 count[u] += count[v]
                 weight[u] += weight[v] * w
     if not g.is_weighted:
-        return DistanceProfile(source, tuple(dist), tuple(count), tuple(count))
+        return DistanceProfile(tuple(dist), tuple(count), tuple(count))
     geodesic_weight = tuple(
         Fraction(wv, g.weight_scale**dv) if dv else wv for wv, dv in zip(weight, dist)
     )
-    return DistanceProfile(source, tuple(dist), tuple(count), geodesic_weight)
+    return DistanceProfile(tuple(dist), tuple(count), geodesic_weight)
 
 
 def scaled_laplacian_apply(g: Graph, u: Sequence) -> list:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,22 +36,11 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be finite, got {t}")
 
 
-@dataclass(frozen=True)
-class HeatKernel:
-    """Kernel matrix at a fixed time; ``K[x, y] = p_t(x, y)``."""
-
-    t: float
-    K: np.ndarray
-    method: str
-
-    def entry(self, x: int, y: int) -> float:
-        return float(self.K[x, y])
-
-
-def kernel_spectral(dec: SpectralDecomposition, t: float) -> HeatKernel:
+def kernel_spectral(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Evaluate ``V diag(e^{mu t}) V^T`` from a precomputed eigendecomposition.
 
-    ``t = 0`` returns the exact identity.  The result is symmetrized, so
+    Returns the read-only kernel matrix, ``K[x, y] = p_t(x, y)``.  ``t = 0``
+    returns the exact identity.  The result is symmetrized, so
     ``K[x, y] == K[y, x]`` holds exactly.
     """
     _check_time(t)
@@ -64,7 +52,7 @@ def kernel_spectral(dec: SpectralDecomposition, t: float) -> HeatKernel:
         K = (dec.V * w) @ dec.V.T
         K = 0.5 * (K + K.T)
     K.setflags(write=False)
-    return HeatKernel(float(t), K, "spectral")
+    return K
 
 
 def _poisson_series(P: np.ndarray, ct: float, eps: float) -> np.ndarray:
@@ -102,9 +90,10 @@ def _latest_shifted_matrix(g: Graph) -> np.ndarray:
     return P
 
 
-def kernel_uniformization(g: Graph, t: float, eps: float = DEFAULT_EPS) -> HeatKernel:
+def kernel_uniformization(g: Graph, t: float, eps: float = DEFAULT_EPS) -> np.ndarray:
     """Evaluate ``e^{t(A-D)}`` through the substochastic shift ``P = (A-D)/c + I``.
 
+    Returns the read-only kernel matrix, ``K[x, y] = p_t(x, y)``.
     ``c`` is the maximum weighted degree — the smallest shift making P
     entrywise nonnegative — so every series term is nonnegative and no
     cancellation occurs.  The neglected Poisson tail carries at most ``eps``
@@ -138,4 +127,4 @@ def kernel_uniformization(g: Graph, t: float, eps: float = DEFAULT_EPS) -> HeatK
             K = K @ factor
         K = 0.5 * (K + K.T)  # average of two nonnegative matrices stays nonnegative
     K.setflags(write=False)
-    return HeatKernel(float(t), K, "uniformization")
+    return K

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Literal
+from typing import Any, Callable, Literal
 
 from .errors import NoConvergence, PositivityFloor, UnreachableError
 from .graphs import DistanceProfile, Graph, bfs_profile, is_bipartite
@@ -174,8 +174,6 @@ class DistanceEstimate:
     consecutive pair of live samples.
     """
 
-    x: int
-    y: int
     d_hat: int | None
     n_hat: int | None
     t_used: float
@@ -185,6 +183,16 @@ class DistanceEstimate:
     @property
     def unreachable(self) -> bool:
         return self.d_hat is None
+
+
+def check_schedule(t0: float, levels: int) -> None:
+    """Reject a sample schedule :func:`estimate_pair` cannot run."""
+    if t0 <= 0:
+        raise ValueError(f"t0 must be positive, got {t0}")
+    if not math.isfinite(t0):
+        raise ValueError(f"t0 must be finite, got {t0}")
+    if levels < 2:
+        raise ValueError(f"levels must be at least 2, got {levels}")
 
 
 def _round_half_up(v: float) -> int:
@@ -213,13 +221,7 @@ def estimate_pair(
     stable exponent, and :class:`PositivityFloor` when samples die below the
     floor after having been live.
     """
-    if t0 <= 0:
-        raise ValueError(f"t0 must be positive, got {t0}")
-    if not math.isfinite(t0):
-        raise ValueError(f"t0 must be finite, got {t0}")
-    if levels < 2:
-        raise ValueError(f"levels must be at least 2, got {levels}")
-
+    check_schedule(t0, levels)
     times = [t0 * 0.5**j for j in range(levels + 1)]
     samples: list[float] = []
     trace: list[float] = []
@@ -253,9 +255,7 @@ def estimate_pair(
 
     if d_hat is None or stable_at is None:
         if not any_alive:
-            return DistanceEstimate(
-                x, y, None, None, times[-1], tuple(trace), converged=False
-            )
+            return DistanceEstimate(None, None, times[-1], tuple(trace), converged=False)
         raise NoConvergence(
             f"no stable exponent after {levels} refinement levels", tuple(trace)
         )
@@ -282,12 +282,25 @@ def estimate_pair(
         raise NoConvergence(
             f"count estimate {raw:.3e} at t={t_used:.3e} is below 1", tuple(trace)
         )
-    return DistanceEstimate(x, y, d_hat, n_hat, t_used, tuple(trace), converged=True)
+    return DistanceEstimate(d_hat, n_hat, t_used, tuple(trace), converged=True)
 
 
 # --- kernel-backed samplers -------------------------------------------------
 # The kernel engines need numpy, so the sampler factories import them when
 # called and verification stays numpy-free.
+
+
+def _per_time_sampler(kernel_at: Callable[[float], Any]) -> Sampler:
+    """Sampler reading every entry at time t off one kernel ``kernel_at(t)``."""
+    cache: dict[float, Any] = {}
+
+    def sample(t: float, x: int, y: int) -> float:
+        K = cache.get(t)
+        if K is None:
+            K = cache[t] = kernel_at(t)
+        return float(K[x, y])
+
+    return sample
 
 
 def spectral_sampler(g: Graph) -> Sampler:
@@ -296,15 +309,7 @@ def spectral_sampler(g: Graph) -> Sampler:
     from .spectral import eigendecompose, kirchhoff_matrix
 
     dec = eigendecompose(kirchhoff_matrix(g))
-    cache: dict[float, object] = {}
-
-    def sample(t: float, x: int, y: int) -> float:
-        kern = cache.get(t)
-        if kern is None:
-            kern = cache[t] = kernel_spectral(dec, t)
-        return kern.entry(x, y)  # type: ignore[attr-defined]
-
-    return sample
+    return _per_time_sampler(lambda t: kernel_spectral(dec, t))
 
 
 def uniformization_sampler(g: Graph, eps: float = POSITIVITY_FLOOR) -> Sampler:
@@ -319,12 +324,6 @@ def uniformization_sampler(g: Graph, eps: float = POSITIVITY_FLOOR) -> Sampler:
 
     if not math.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
-    cache: dict[float, object] = {}
-
-    def sample(t: float, x: int, y: int) -> float:
-        kern = cache.get(t)
-        if kern is None:
-            kern = cache[t] = kernel_uniformization(g, t, eps)
-        return kern.entry(x, y)  # type: ignore[attr-defined]
-
-    return sample
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return _per_time_sampler(lambda t: kernel_uniformization(g, t, eps))

@@ -562,6 +562,24 @@ def test_non_finite_option_or_huge_ct_rejected(capsys, tmp_path, text, command, 
     assert expect in err
 
 
+@pytest.mark.parametrize("text", ["", "# no edges\n"], ids=["empty", "comments-only"])
+@pytest.mark.parametrize(
+    "options, expect",
+    [
+        (["--t0", "-1"], "t0 must be positive"),
+        (["--levels", "1"], "levels must be at least 2"),
+        ([*_UNIF, "--eps", "-1"], "eps must be positive"),
+    ],
+    ids=["t0", "levels", "eps"],
+)
+def test_estimate_options_checked_on_a_graph_without_pairs(
+    capsys, tmp_path, text, options, expect
+):
+    err = rejected_graph_stderr(capsys, tmp_path, ["estimate", *options], text)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert expect in err
+
+
 def test_missing_required_t_flag(grid_file):
     with pytest.raises(SystemExit) as exc_info:
         main(["kernel", "--graph", grid_file])

@@ -119,6 +119,25 @@ def test_constructor_rejects_nonpositive_weight():
         Graph(2, [(0, 1)], weights={(0, 1): Fraction(-1, 2)})
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [
+        pytest.param({(0, 1): Fraction(1, 10**400)}, id="weight-underflows"),
+        pytest.param({(0, 1): Fraction(10**400)}, id="weight-overflows"),
+        pytest.param({(0, 1): 10**308, (1, 2): 10**308}, id="degree-overflows"),
+    ],
+)
+def test_constructor_rejects_weights_the_float_engines_cannot_see(weights):
+    with pytest.raises(WeightError, match="'0' -- '1'|vertex '1'"):
+        Graph(3, [(0, 1), (1, 2)], weights=weights)
+
+
+def test_constructor_accepts_weighted_graph_without_edges():
+    g = Graph(2, [], weights={})
+    assert g.is_weighted
+    assert g.max_weighted_degree() == 0.0
+
+
 def test_constructor_rejects_weight_on_missing_edge():
     with pytest.raises(WeightError):
         Graph(3, [(0, 1)], weights={(1, 2): 1})

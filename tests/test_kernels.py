@@ -2,6 +2,8 @@
 
 import importlib
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ import corpus
 import graphheat
 from graphheat import (
     Graph,
-    HeatKernel,
     eigendecompose,
     kernel_spectral,
     kernel_uniformization,
@@ -22,7 +23,7 @@ from graphheat.cli import main
 TS = (0.01, 0.1, 1.0, 5.0)
 
 
-def spectral(g: Graph, t: float) -> HeatKernel:
+def spectral(g: Graph, t: float) -> np.ndarray:
     return kernel_spectral(eigendecompose(kirchhoff_matrix(g)), t)
 
 
@@ -49,28 +50,28 @@ def path3_kernel_exact(t: float) -> np.ndarray:
 def test_single_edge_closed_form(t):
     g = corpus.complete_graph(2)
     want = edge_kernel_exact(t)
-    np.testing.assert_allclose(spectral(g, t).K, want, atol=1e-14)
-    np.testing.assert_allclose(kernel_uniformization(g, t).K, want, atol=1e-12)
+    np.testing.assert_allclose(spectral(g, t), want, atol=1e-14)
+    np.testing.assert_allclose(kernel_uniformization(g, t), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("t", TS)
 def test_path3_closed_form(t):
     g = corpus.path_graph(3)
     want = path3_kernel_exact(t)
-    np.testing.assert_allclose(spectral(g, t).K, want, atol=1e-13)
-    np.testing.assert_allclose(kernel_uniformization(g, t).K, want, atol=1e-12)
+    np.testing.assert_allclose(spectral(g, t), want, atol=1e-13)
+    np.testing.assert_allclose(kernel_uniformization(g, t), want, atol=1e-12)
 
 
 def test_t_zero_is_exact_identity_both_engines():
     g = corpus.random_connected_graph(42, 9, 0.4)
-    assert np.array_equal(spectral(g, 0.0).K, np.eye(g.n))
-    assert np.array_equal(kernel_uniformization(g, 0.0).K, np.eye(g.n))
+    assert np.array_equal(spectral(g, 0.0), np.eye(g.n))
+    assert np.array_equal(kernel_uniformization(g, 0.0), np.eye(g.n))
 
 
 def test_edgeless_graph_is_identity_at_any_time():
     g = Graph(4)
-    assert np.array_equal(kernel_uniformization(g, 7.5).K, np.eye(4))
-    assert np.array_equal(spectral(g, 7.5).K, np.eye(4))
+    assert np.array_equal(kernel_uniformization(g, 7.5), np.eye(4))
+    assert np.array_equal(spectral(g, 7.5), np.eye(4))
 
 
 # --- engine agreement and semigroup structure -------------------------------
@@ -80,8 +81,8 @@ def test_edgeless_graph_is_identity_at_any_time():
 def test_engines_agree(seed):
     g = corpus.random_connected_graph(600 + seed, 6 + 3 * seed, 0.35)
     for t in TS:
-        a = spectral(g, t).K
-        b = kernel_uniformization(g, t).K
+        a = spectral(g, t)
+        b = kernel_uniformization(g, t)
         np.testing.assert_allclose(a, b, atol=5e-12)
 
 
@@ -89,15 +90,15 @@ def test_engines_agree_weighted():
     g = corpus.random_weighted_graph(8, 9, 0.4)
     for t in (0.05, 0.7):
         np.testing.assert_allclose(
-            spectral(g, t).K, kernel_uniformization(g, t).K, atol=5e-12
+            spectral(g, t), kernel_uniformization(g, t), atol=5e-12
         )
 
 
 @pytest.mark.parametrize("t", (0.05, 0.4, 1.3))
 def test_semigroup_property(t):
     g = corpus.random_connected_graph(17, 11, 0.3)
-    k1 = spectral(g, t).K
-    k2 = spectral(g, 2 * t).K
+    k1 = spectral(g, t)
+    k2 = spectral(g, 2 * t)
     np.testing.assert_allclose(k1 @ k1, k2, atol=1e-12)
 
 
@@ -108,10 +109,10 @@ def test_time_derivative_matches_generator():
     L = kirchhoff_matrix(g).dense
     dec = eigendecompose(kirchhoff_matrix(g))
     t = 0.3
-    want = L @ kernel_spectral(dec, t).K
+    want = L @ kernel_spectral(dec, t)
 
     def defect(h: float) -> float:
-        diff = (kernel_spectral(dec, t + h).K - kernel_spectral(dec, t - h).K) / (2 * h)
+        diff = (kernel_spectral(dec, t + h) - kernel_spectral(dec, t - h)) / (2 * h)
         return float(np.max(np.abs(diff - want)))
 
     d1, d2 = defect(1e-3), defect(5e-4)
@@ -126,7 +127,7 @@ def test_time_derivative_matches_generator():
 def test_rows_sum_to_one_and_entries_nonnegative(seed):
     g = corpus.random_connected_graph(700 + seed, 8 + 5 * seed, 0.3)
     for t in TS:
-        for K in (spectral(g, t).K, kernel_uniformization(g, t).K):
+        for K in (spectral(g, t), kernel_uniformization(g, t)):
             np.testing.assert_allclose(K.sum(axis=1), np.ones(g.n), atol=1e-10)
             assert K.min() >= -1e-12
 
@@ -134,24 +135,24 @@ def test_rows_sum_to_one_and_entries_nonnegative(seed):
 def test_kernel_is_symmetric():
     g = corpus.random_connected_graph(31, 13, 0.3)
     for t in (0.1, 2.0):
-        K = kernel_uniformization(g, t).K
+        K = kernel_uniformization(g, t)
         np.testing.assert_array_equal(K, K.T)
-        S = spectral(g, t).K
+        S = spectral(g, t)
         np.testing.assert_array_equal(S, S.T)
 
 
 def test_cross_component_entries_vanish():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    K = kernel_uniformization(g, 1.0).K
+    K = kernel_uniformization(g, 1.0)
     assert K[0, 3] == 0.0 and K[2, 4] == 0.0
-    S = spectral(g, 1.0).K
+    S = spectral(g, 1.0)
     assert abs(S[0, 3]) < 1e-14 and abs(S[2, 4]) < 1e-14
 
 
 def test_diffusion_spreads_monotonically_on_path():
     g = corpus.path_graph(7)
-    p_small = spectral(g, 0.1).entry(0, 6)
-    p_big = spectral(g, 2.0).entry(0, 6)
+    p_small = spectral(g, 0.1)[0, 6]
+    p_big = spectral(g, 2.0)[0, 6]
     assert 0 <= p_small < p_big < 1
 
 
@@ -164,7 +165,7 @@ def test_large_time_splitting_path():
     g = corpus.star_graph(11)
     t = 30.0
     np.testing.assert_allclose(
-        kernel_uniformization(g, t).K, spectral(g, t).K, atol=1e-11
+        kernel_uniformization(g, t), spectral(g, t), atol=1e-11
     )
 
 
@@ -173,8 +174,8 @@ def test_eps_controls_truncation_depth():
     # any walk reaches, a strict one keeps the (tiny but positive) mass
     g = corpus.path_graph(8)
     t = 1e-3
-    loose = kernel_uniformization(g, t, eps=1e-12).entry(0, 7)
-    strict = kernel_uniformization(g, t, eps=1e-250).entry(0, 7)
+    loose = kernel_uniformization(g, t, eps=1e-12)[0, 7]
+    strict = kernel_uniformization(g, t, eps=1e-250)[0, 7]
     assert loose == 0.0
     assert strict > 0.0
     # leading Taylor term: t^7/7! for the single geodesic of length 7
@@ -200,7 +201,7 @@ def test_uniformization_caps_c_times_t():
     # path of 3: largest weighted degree c = 2, so t = 5000 is the largest
     # accepted c*t = 1e4 (50 semigroup factors), near the limit 1/3 everywhere
     g = corpus.path_graph(3)
-    np.testing.assert_allclose(kernel_uniformization(g, 5000.0).K, 1 / 3, atol=1e-9)
+    np.testing.assert_allclose(kernel_uniformization(g, 5000.0), 1 / 3, atol=1e-9)
     with pytest.raises(ValueError, match="largest weighted degree 2.0 times t = 5000.5"):
         kernel_uniformization(g, 5000.5)
 
@@ -215,31 +216,22 @@ def test_uniformization_builds_the_kirchhoff_matrix_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(kernels, "kirchhoff_matrix", counting)
     g = corpus.random_weighted_graph(1, 12, 0.3)
-    kept = [kernel_uniformization(g, t).K for t in TS]
+    kept = [kernel_uniformization(g, t) for t in TS]
     assert calls == [g]
     # the kept matrix gives the same bits as one built afresh for an equal graph
     for t, K in zip(TS, kept):
         fresh = corpus.random_weighted_graph(1, 12, 0.3)
-        assert np.array_equal(kernel_uniformization(fresh, t).K, K)
+        assert np.array_equal(kernel_uniformization(fresh, t), K)
     assert len(calls) == 1 + len(TS)
 
 
 # --- accessors --------------------------------------------------------------
 
 
-def test_entry_accessor_and_method_tag():
-    g = corpus.reference_grid()
-    hk = kernel_uniformization(g, 0.25)
-    assert hk.method == "uniformization"
-    assert hk.t == 0.25
-    x, y = g.index_of("a0"), g.index_of("b2")
-    assert hk.entry(x, y) == hk.K[x, y]
-
-
 def test_method_dispatch(tmp_path):
     g = corpus.path_graph(4)
-    a = spectral(g, 0.4).entry(0, 3)
-    b = kernel_uniformization(g, 0.4).entry(0, 3)
+    a = spectral(g, 0.4)[0, 3]
+    b = kernel_uniformization(g, 0.4)[0, 3]
     assert a == pytest.approx(b, abs=1e-12)
     # the method is chosen by name only on the command line
     p = tmp_path / "path4.txt"
@@ -251,16 +243,15 @@ def test_method_dispatch(tmp_path):
 
 def test_kernel_matrix_is_read_only():
     g = corpus.path_graph(3)
-    hk = kernel_uniformization(g, 0.1)
+    K = kernel_uniformization(g, 0.1)
     with pytest.raises(ValueError):
-        hk.K[0, 0] = 2.0
+        K[0, 0] = 2.0
 
 
 # --- package surface ----------------------------------------------------------
 
 _FLOAT_NAMES = [
     ("kernels", "DEFAULT_EPS"),
-    ("kernels", "HeatKernel"),
     ("kernels", "kernel_spectral"),
     ("kernels", "kernel_uniformization"),
     ("spectral", "KirchhoffMatrix"),
@@ -279,6 +270,20 @@ def test_float_names_are_served_by_the_package(module, name):
     exec(f"from graphheat import {name}", namespace)
     assert namespace[name] is expected
     assert name in dir(graphheat)
+
+
+def test_readme_library_block_runs_on_the_readme_grid(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    grid = readme.split("```\n# 2x3 grid\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "g.txt").write_text(grid, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    ns: dict = {}
+    exec(block, ns)
+    # vertex 5 is b2, three steps and three geodesics from a0
+    assert ns["d"] == 3 and ns["lead"] == Fraction(1, 2) == ns["coeffs"][3]
+    assert (ns["est"].d_hat, ns["est"].n_hat) == (3, 3)
+    assert ns["K"][0, 5] == pytest.approx(kernel_spectral(ns["dec"], 0.5)[0, 5], abs=1e-12)
 
 
 def test_unknown_package_name_raises_attribute_error():

@@ -265,3 +265,32 @@ def test_uniformization_sampler_default_eps_keeps_deep_pairs_alive():
     est = estimate_pair(uniformization_sampler(g), 0, 6, t0=0.1, levels=16)
     assert est.converged
     assert (est.d_hat, est.n_hat) == (6, 1)
+
+
+@pytest.mark.parametrize("engine", ["kernel_spectral", "kernel_uniformization"])
+def test_sampler_builds_one_kernel_per_time(monkeypatch, engine):
+    from graphheat import POSITIVITY_FLOOR, eigendecompose, kirchhoff_matrix, kernels
+
+    g = corpus.reference_grid()
+    builds = []
+    real = getattr(kernels, engine)
+
+    def counting(*args):
+        builds.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, engine, counting)
+    if engine == "kernel_spectral":
+        sampler = spectral_sampler(g)
+        dec = eigendecompose(kirchhoff_matrix(g))
+        direct = lambda t: real(dec, t)
+    else:
+        sampler = uniformization_sampler(g)
+        direct = lambda t: real(g, t, POSITIVITY_FLOOR)
+    times = (0.1, 0.05, 0.1, 0.025, 0.05)
+    for t in times:
+        K = direct(t)
+        for x in range(g.n):
+            for y in range(g.n):
+                assert sampler(t, x, y) == K[x, y]
+    assert builds == [0.1, 0.05, 0.025]
