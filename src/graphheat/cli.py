@@ -151,13 +151,21 @@ def _cmd_kernel(g: Graph, args: argparse.Namespace):
     eps = DEFAULT_EPS if args.eps is None else args.eps
     rows = []
     dec = eigendecompose(kirchhoff_matrix(g)) if args.method == "spectral" else None
+    sources = None
+    at = pairs
+    if args.method == "uniformization" and args.pair is not None:
+        # Sum only the rows read.  The row block is not symmetric, so every
+        # pair is read at its smaller end and (x, y), (y, x) print one value.
+        sources = sorted({min(pair) for pair in pairs})
+        row_of = {x: i for i, x in enumerate(sources)}
+        at = [(row_of[min(pair)], max(pair)) for pair in pairs]
     for t in args.t_values:
         if args.method == "spectral":
             K = kernel_spectral(dec, t)
         else:
-            K = kernel_uniformization(g, t, eps)
-        for x, y in pairs:
-            rows.append([_fmt_float(t), g.labels[x], g.labels[y], _fmt_float(K[x, y])])
+            K = kernel_uniformization(g, t, eps, rows=sources)
+        for (x, y), (i, j) in zip(pairs, at):
+            rows.append([_fmt_float(t), g.labels[x], g.labels[y], _fmt_float(K[i, j])])
     return ["t", "x_label", "y_label", "p"], rows, 0
 
 

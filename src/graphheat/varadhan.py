@@ -222,7 +222,8 @@ def estimate_pair(
     floor after having been live.
     """
     check_schedule(t0, levels)
-    times = [t0 * 0.5**j for j in range(levels + 1)]
+    # Each time t0 * 0.5**j is made as it is sampled: the loop usually stops
+    # a few levels in, and a list of every level grows with ``levels``.
     samples: list[float] = []
     trace: list[float] = []
     prev_alive = False
@@ -230,7 +231,8 @@ def estimate_pair(
     d_hat: int | None = None
     stable_at: int | None = None
 
-    for j, t in enumerate(times):
+    for j in range(levels + 1):
+        t = t0 * 0.5**j
         p = float(sampler(t, x, y))
         alive = p > POSITIVITY_FLOOR
         samples.append(p)
@@ -255,7 +257,7 @@ def estimate_pair(
 
     if d_hat is None or stable_at is None:
         if not any_alive:
-            return DistanceEstimate(None, None, times[-1], tuple(trace), converged=False)
+            return DistanceEstimate(None, None, t0 * 0.5**levels, tuple(trace), converged=False)
         raise NoConvergence(
             f"no stable exponent after {levels} refinement levels", tuple(trace)
         )
@@ -264,7 +266,7 @@ def estimate_pair(
     # pre-rounding value is not within COUNT_TOL of an integer.
     idx = stable_at
     while True:
-        t_used = times[idx]
+        t_used = t0 * 0.5**idx
         p_used = samples[idx]
         raw = math.exp(
             math.lgamma(d_hat + 1) + math.log(p_used) - d_hat * math.log(t_used)
@@ -272,7 +274,7 @@ def estimate_pair(
         n_hat = _round_half_up(raw)
         if abs(raw - n_hat) < COUNT_TOL or idx >= levels:
             break
-        p_next = float(sampler(times[idx + 1], x, y))
+        p_next = float(sampler(t0 * 0.5 ** (idx + 1), x, y))
         if p_next <= POSITIVITY_FLOOR:
             break  # deeper samples are below resolution; keep the current read
         samples.append(p_next)

@@ -97,6 +97,42 @@ def test_kernel_output_is_deterministic(capsys, grid_file):
     assert first == second
 
 
+def test_uniformization_kernel_pairs_sum_only_their_rows(capsys, monkeypatch):
+    from graphheat import kernels  # here: the numpy-free CI job imports this file
+
+    graph = str(GOLDEN / "weighted_grid.txt")
+    n = 6  # the weighted 2x3 grid
+    argv = ["kernel", "--graph", graph, "--t", "0.3", "--t", "1.0", "--method", "uniformization"]
+    _, full_out, _ = run_cli(capsys, argv)
+    full = {tuple(line.split(",")[:3]): float(line.split(",")[3])
+            for line in full_out.splitlines()[1:]}
+
+    block_rows = []
+    real = kernels._poisson_series
+
+    def recording(P, B, ct, eps):
+        block_rows.append(B.shape[0])
+        return real(P, B, ct, eps)
+
+    monkeypatch.setattr(kernels, "_poisson_series", recording)
+    code, out, _ = run_cli(
+        capsys, [*argv, "--pair", "a0", "b2", "--pair", "b2", "a0", "--pair", "a1", "a1"]
+    )
+    assert code == 0
+    assert block_rows and all(rows < n for rows in block_rows)
+    lines = out.splitlines()
+    assert lines[0] == "t,x_label,y_label,p"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        [t, x, y] for t in ("0.3", "1.0") for x, y in (("a0", "b2"), ("b2", "a0"), ("a1", "a1"))
+    ]
+    for first in (1, 4):  # (a0, b2) and (b2, a0) print the same bytes
+        assert lines[first].split(",")[3] == lines[first + 1].split(",")[3]
+    for line in lines[1:]:
+        t, x, y, p = line.split(",")
+        want = full.get((t, x, y), full.get((t, y, x)))
+        assert float(p) == pytest.approx(want, rel=0, abs=1e-12)
+
+
 def test_output_file_matches_stdout(capsys, grid_file, tmp_path):
     out_file = tmp_path / "report.csv"
     argv = ["series", "--graph", grid_file, "--max-order", "4"]

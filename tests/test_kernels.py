@@ -225,6 +225,48 @@ def test_uniformization_builds_the_kirchhoff_matrix_once_per_graph(monkeypatch):
     assert len(calls) == 1 + len(TS)
 
 
+def two_component_graph() -> Graph:
+    a = corpus.random_connected_graph(5, 7, 0.4)
+    b = corpus.random_weighted_graph(6, 6, 0.5)
+    edges = [*a.edges, *((u + a.n, v + a.n) for u, v in b.edges)]
+    weights = {
+        **{e: 1 for e in a.edges},
+        **{(u + a.n, v + a.n): w for (u, v), w in b.weights.items()},
+    }
+    return Graph(a.n + b.n, edges, weights=weights)
+
+
+_ROW_BLOCK_CASES = [
+    # (graph builder, times); star_graph(11) has c = 11, so t = 30 gives
+    # c*t = 330, two semigroup factors
+    pytest.param(lambda: corpus.random_connected_graph(41, 14, 0.3), (0.0, 0.1, 2.0),
+                 id="unweighted"),
+    pytest.param(lambda: corpus.random_weighted_graph(42, 12, 0.35), (0.05, 0.7),
+                 id="weighted"),
+    pytest.param(two_component_graph, (0.3, 4.0), id="two-component"),
+    pytest.param(lambda: corpus.star_graph(11), (0.0, 30.0), id="several-factors"),
+    pytest.param(lambda: Graph(5), (0.0, 7.5), id="edgeless"),
+]
+
+
+@pytest.mark.parametrize("build, times", _ROW_BLOCK_CASES)
+def test_row_block_equals_rows_of_the_full_kernel(build, times):
+    g = build()
+    n = g.n
+    # any order, a repeated row, and a tuple (which must not index one entry)
+    for r in ([0], (n - 1, 0, 2), [3, 3, 1], list(range(n))[::-1]):
+        for t in times:
+            full = kernel_uniformization(g, t)
+            np.testing.assert_array_equal(full, full.T)
+            block = kernel_uniformization(g, t, rows=r)
+            assert block.shape == (len(r), n)
+            assert not block.flags.writeable
+            assert block.min() >= 0.0
+            np.testing.assert_allclose(block, full[list(r)], rtol=0, atol=1e-12)
+            if t == 0 or g.max_weighted_degree() == 0:
+                assert np.array_equal(block, np.eye(n)[list(r)])
+
+
 # --- accessors --------------------------------------------------------------
 
 
@@ -284,6 +326,7 @@ def test_readme_library_block_runs_on_the_readme_grid(tmp_path, monkeypatch):
     assert ns["d"] == 3 and ns["lead"] == Fraction(1, 2) == ns["coeffs"][3]
     assert (ns["est"].d_hat, ns["est"].n_hat) == (3, 3)
     assert ns["K"][0, 5] == pytest.approx(kernel_spectral(ns["dec"], 0.5)[0, 5], abs=1e-12)
+    np.testing.assert_allclose(ns["R"], ns["K"][[0]], rtol=0, atol=1e-12)
 
 
 def test_unknown_package_name_raises_attribute_error():

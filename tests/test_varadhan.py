@@ -1,6 +1,7 @@
 """Pair verification reports and sample-based distance recovery."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,29 @@ def test_count_below_one_is_rejected():
     sampler = lambda t, x, y: 0.1 * t**2
     with pytest.raises(NoConvergence):
         estimate_pair(sampler, 0, 1, t0=0.1, levels=10)
+
+
+def test_estimate_makes_only_the_sample_times_it_uses():
+    # d = 2, N = 40 plus a first-order bias large enough that the count
+    # phase shrinks t twice past the level where the exponent settles
+    calls = []
+
+    def sampler(t, x, y):
+        calls.append(t)
+        return 20.0 * t**2 * (1.0 + t)
+
+    want = estimate_pair(sampler, 0, 1, t0=0.1, levels=16)
+    used = len(calls)
+    calls.clear()
+    tracemalloc.start()
+    try:
+        got = estimate_pair(sampler, 0, 1, t0=0.1, levels=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and (got.d_hat, got.n_hat) == (2, 40)
+    assert len(calls) == used == 6
+    assert peak < 2**20
 
 
 def test_estimate_argument_validation():
