@@ -34,10 +34,7 @@ from .series import (
     walk_vectors,
 )
 from .varadhan import (
-    COUNT_TOL,
-    EXPONENT_TOL,
     POSITIVITY_FLOOR,
-    STABLE_ROUNDS,
     DistanceEstimate,
     VaradhanReport,
     VerificationSummary,

@@ -3,8 +3,9 @@
 Every subcommand reads one graph file, writes one CSV report (stdout by
 default), and exits 0 on success, 1 when a verification verdict failed, or
 2 on input errors.  Input errors include a non-finite ``--t``, ``--t0`` or
-``--eps``, and a uniformization ``kernel`` whose ``c*t`` (largest weighted
-degree times time) exceeds the engine's cap.  Output is deterministic
+``--eps``, an ``--eps`` without ``--method uniformization``, and a
+uniformization ``kernel`` whose ``c*t`` (largest weighted degree times time)
+exceeds the engine's cap.  Output is deterministic
 byte-for-byte for a fixed input, flag set and BLAS thread count: orderings
 are stable and floats print in shortest round-trip form.  The
 eigendecomposition and the kernel products run in BLAS/LAPACK, whose results
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="T", help="evaluation time (repeatable)")
     p.add_argument("--method", choices=("spectral", "uniformization"), default="spectral")
     p.add_argument("--eps", type=float, default=None,
-                   help="uniformization tail bound (default 1e-12)")
+                   help="uniformization only: tail bound (default 1e-12)")
 
     p = sub.add_parser("spectrum", help="Laplacian eigenvalues, ascending")
     common(p)
@@ -96,13 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=16,
                    help="number of dyadic refinement levels (default 16)")
     p.add_argument("--eps", type=float, default=None,
-                   help="uniformization sampler tail bound (default: positivity floor)")
+                   help="uniformization only: sampler tail bound (default: positivity floor)")
 
     p = sub.add_parser("paths", help="distance and geodesic count per pair")
     common(p)
     pair_flag(p)
-    p.add_argument("--from", dest="source", default=None, metavar="U")
-    p.add_argument("--to", dest="target", default=None, metavar="V")
 
     p = sub.add_parser("bipartite", help="two-colouring, if one exists")
     common(p)
@@ -269,16 +268,9 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
 
 
 def _cmd_paths(g: Graph, args: argparse.Namespace):
-    if (args.source is None) != (args.target is None):
-        raise ValueError("--from and --to must be given together")
-    explicit = args.pair
-    if args.source is not None:
-        if args.pair is not None:
-            raise ValueError("--from/--to and --pair are mutually exclusive")
-        explicit = [[args.source, args.target]]
     profiles: dict[int, object] = {}
     rows = []
-    for x, y in _resolve_pairs(g, explicit, include_diagonal=False):
+    for x, y in _resolve_pairs(g, args.pair, include_diagonal=False):
         profile = profiles.get(x)
         if profile is None:
             profile = profiles[x] = bfs_profile(g, x)
@@ -321,6 +313,8 @@ def __getattr__(name: str):
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
+    if getattr(args, "eps", None) is not None and args.method != "uniformization":
+        raise ValueError("--eps applies only to --method uniformization")
     text = Path(args.graph).read_text(encoding="utf-8")
     g = parse_edge_list(text)
     header, rows, status = _DISPATCH[args.subcommand](g, args)

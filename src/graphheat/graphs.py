@@ -138,9 +138,8 @@ class Graph:
         return Fraction(self._ideg[v], self.weight_scale)
 
     def max_weighted_degree(self) -> float:
-        if self.n == 0:
-            return 0.0
-        return float(max(self.weighted_degree(v) for v in range(self.n)))
+        # Every degree is an integer over weight_scale: one correctly rounded division.
+        return max(self._ideg, default=0) / self.weight_scale
 
     def index_of(self, label: str) -> int:
         """Resolve an external vertex name; raises UnknownVertexError if unknown."""

@@ -40,10 +40,9 @@ class SpectralDecomposition:
     """Eigenpairs of a Kirchhoff matrix.
 
     ``mu`` is sorted descending, so ``mu[0]`` is the (near-)zero eigenvalue
-    and column ``V[:, k]`` is the unit eigenvector for ``mu[k]``.  Signs are
-    normalized: the largest-magnitude entry of each column is positive (ties
-    broken by lowest index), which makes the decomposition reproducible
-    bit-for-bit across runs with the same BLAS thread count.
+    and column ``V[:, k]`` is the unit eigenvector for ``mu[k]``.  Column
+    signs are whatever LAPACK returns; every consumer reads ``V`` through
+    products of two entries of one column, which no sign flip changes.
     """
 
     mu: np.ndarray
@@ -69,11 +68,6 @@ def eigendecompose(L: KirchhoffMatrix) -> SpectralDecomposition:
     order = np.argsort(-mu, kind="stable")
     mu = mu[order]
     V = np.ascontiguousarray(V[:, order])
-    for k in range(mu.shape[0]):
-        col = V[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0:
-            V[:, k] = -col
     mu.setflags(write=False)
     V.setflags(write=False)
     return SpectralDecomposition(mu, V)

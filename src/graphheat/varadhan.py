@@ -169,7 +169,7 @@ class DistanceEstimate:
     """Result of :func:`estimate_pair`.
 
     ``d_hat is None`` means every sample sat at or below the positivity
-    floor: the pair is reported unreachable and ``converged`` is False.
+    floor: the pair is reported unreachable.
     ``exponent_trace`` keeps the raw dyadic exponent estimates, one per
     consecutive pair of live samples.
     """
@@ -178,7 +178,6 @@ class DistanceEstimate:
     n_hat: int | None
     t_used: float
     exponent_trace: tuple[float, ...]
-    converged: bool
 
     @property
     def unreachable(self) -> bool:
@@ -226,7 +225,6 @@ def estimate_pair(
     # a few levels in, and a list of every level grows with ``levels``.
     samples: list[float] = []
     trace: list[float] = []
-    prev_alive = False
     any_alive = False
     d_hat: int | None = None
     stable_at: int | None = None
@@ -240,7 +238,7 @@ def estimate_pair(
             raise PositivityFloor(
                 f"sample at t={t:.3e} fell to {p:.3e} before the exponent stabilized"
             )
-        if alive and prev_alive:
+        if alive and any_alive:  # no dead sample follows a live one
             trace.append(math.log(samples[j - 1] / p) / math.log(2.0))
             if len(trace) >= STABLE_ROUNDS:
                 window = trace[-STABLE_ROUNDS:]
@@ -252,12 +250,11 @@ def estimate_pair(
                     d_hat = r
                     stable_at = j
                     break
-        prev_alive = alive
         any_alive = any_alive or alive
 
     if d_hat is None or stable_at is None:
         if not any_alive:
-            return DistanceEstimate(None, None, t0 * 0.5**levels, tuple(trace), converged=False)
+            return DistanceEstimate(None, None, t0 * 0.5**levels, tuple(trace))
         raise NoConvergence(
             f"no stable exponent after {levels} refinement levels", tuple(trace)
         )
@@ -284,7 +281,7 @@ def estimate_pair(
         raise NoConvergence(
             f"count estimate {raw:.3e} at t={t_used:.3e} is below 1", tuple(trace)
         )
-    return DistanceEstimate(d_hat, n_hat, t_used, tuple(trace), converged=True)
+    return DistanceEstimate(d_hat, n_hat, t_used, tuple(trace))
 
 
 # --- kernel-backed samplers -------------------------------------------------

@@ -421,7 +421,7 @@ def test_estimate_respects_t0_and_levels(capsys, grid_file):
 
 def test_paths_from_to_golden(capsys, grid_file):
     code, out, _ = run_cli(
-        capsys, ["paths", "--graph", grid_file, "--from", "a0", "--to", "b2"]
+        capsys, ["paths", "--graph", grid_file, "--pair", "a0", "b2"]
     )
     assert code == 0
     assert out.splitlines() == ["x,y,d,count", "a0,b2,3,3"]
@@ -429,26 +429,10 @@ def test_paths_from_to_golden(capsys, grid_file):
 
 def test_paths_unreachable(capsys, two_component_file):
     code, out, _ = run_cli(
-        capsys, ["paths", "--graph", two_component_file, "--from", "a", "--to", "e"]
+        capsys, ["paths", "--graph", two_component_file, "--pair", "a", "e"]
     )
     assert code == 0
     assert out.splitlines()[1] == "a,e,unreachable,0"
-
-
-def test_paths_from_requires_to(capsys, grid_file):
-    code, _, err = run_cli(capsys, ["paths", "--graph", grid_file, "--from", "a0"])
-    assert code == 2
-    assert "--from and --to" in err
-
-
-def test_paths_from_to_excludes_pair(capsys, grid_file):
-    code, _, err = run_cli(
-        capsys,
-        ["paths", "--graph", grid_file, "--from", "a0", "--to", "b2",
-         "--pair", "a0", "a1"],
-    )
-    assert code == 2
-    assert "mutually exclusive" in err
 
 
 # --- bipartite ---------------------------------------------------------------
@@ -481,7 +465,7 @@ def test_bipartite_odd_cycle(capsys, tmp_path):
 
 def test_unknown_label_exits_two(capsys, grid_file):
     code, _, err = run_cli(
-        capsys, ["paths", "--graph", grid_file, "--from", "zz", "--to", "a0"]
+        capsys, ["paths", "--graph", grid_file, "--pair", "zz", "a0"]
     )
     assert code == 2
     assert "zz" in err
@@ -494,7 +478,7 @@ def test_internal_key_error_is_not_an_unknown_label(capsys, grid_file, monkeypat
 
     monkeypatch.setattr(cli, "bfs_profile", broken)
     with pytest.raises(KeyError):
-        main(["paths", "--graph", grid_file, "--from", "a0", "--to", "b2"])
+        main(["paths", "--graph", grid_file, "--pair", "a0", "b2"])
     assert "unknown vertex label" not in capsys.readouterr().err
 
 
@@ -616,6 +600,28 @@ def test_estimate_options_checked_on_a_graph_without_pairs(
     assert expect in err
 
 
+_EPS_COMMANDS = [["kernel", *_PATH_AC, "--t", "1"], ["estimate", *_PATH_AC]]
+
+
+@pytest.mark.parametrize("eps", ["nan", "1e-12"])
+@pytest.mark.parametrize("command", _EPS_COMMANDS, ids=lambda c: c[0])
+def test_eps_without_uniformization_rejected(capsys, tmp_path, command, eps):
+    # the spectral engine has no tail bound; these once exited 0 and ignored --eps
+    err = rejected_graph_stderr(capsys, tmp_path, [*command, "--eps", eps], "a b\nb c\n")
+    assert err == "error: --eps applies only to --method uniformization\n"
+
+
+@pytest.mark.parametrize("command", _EPS_COMMANDS, ids=lambda c: c[0])
+def test_eps_with_uniformization_accepted(capsys, tmp_path, command):
+    p = tmp_path / "g.txt"
+    p.write_text("a b\nb c\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, [command[0], "--graph", str(p), *command[1:], *_UNIF, "--eps", "1e-12"]
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("1.0,a,c," if command[0] == "kernel" else "a,c,2,1,")
+
+
 def test_missing_required_t_flag(grid_file):
     with pytest.raises(SystemExit) as exc_info:
         main(["kernel", "--graph", grid_file])
@@ -667,7 +673,7 @@ def console_script_command():
 def test_console_script_smoke(grid_file):
     command, env = console_script_command()
     proc = subprocess.run(
-        command + ["paths", "--graph", grid_file, "--from", "a0", "--to", "b2"],
+        command + ["paths", "--graph", grid_file, "--pair", "a0", "b2"],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0

@@ -332,3 +332,10 @@ def test_readme_library_block_runs_on_the_readme_grid(tmp_path, monkeypatch):
 def test_unknown_package_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         graphheat.no_such_name
+
+
+@pytest.mark.parametrize("name", ["COUNT_TOL", "EXPONENT_TOL", "STABLE_ROUNDS"])
+def test_estimator_thresholds_are_not_package_names(name):
+    # internal to the estimator in graphheat.varadhan, not public API
+    with pytest.raises(AttributeError, match=name):
+        getattr(graphheat, name)

@@ -12,6 +12,7 @@ from graphheat import (
     SpectralDecomposition,
     bfs_profile,
     eigendecompose,
+    kernel_spectral,
     kirchhoff_matrix,
     spectral_path_identity,
 )
@@ -78,12 +79,12 @@ def test_dense_is_read_only():
 
 
 def test_single_edge_eigenpairs():
-    # two vertices, one edge: mu = {0, -2}; both eigenvectors are
-    # (1, +-1)/sqrt(2) with the sign convention pinning entry 0 positive
+    # two vertices, one edge: mu = {0, -2}; the eigenvectors are
+    # (1, 1)/sqrt(2) and (1, -1)/sqrt(2), each up to its sign
     _, dec = decompose(corpus.complete_graph(2))
     r = 1 / np.sqrt(2.0)
     np.testing.assert_allclose(dec.mu, [0.0, -2.0], atol=1e-14)
-    np.testing.assert_allclose(dec.V, [[r, r], [r, -r]], atol=1e-14)
+    np.testing.assert_allclose(dec.V * np.sign(dec.V[0]), [[r, r], [r, -r]], atol=1e-14)
 
 
 def test_triangle_spectrum():
@@ -159,12 +160,30 @@ def test_decomposition_is_deterministic():
     assert np.array_equal(a.V, b.V)
 
 
-def test_sign_convention_fixes_each_column():
-    _, dec = decompose(corpus.random_connected_graph(55, 15, 0.3))
-    for k in range(dec.n):
-        col = dec.V[:, k]
-        j = int(np.argmax(np.abs(col)))  # argmax takes the lowest index on ties
-        assert col[j] > 0
+@pytest.mark.parametrize(
+    "g",
+    [
+        corpus.reference_grid(),
+        corpus.random_weighted_graph(55, 15, 0.3),
+        Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    ],
+    ids=["grid", "weighted", "two-component"],
+)
+def test_column_signs_change_no_bit(g):
+    # LAPACK picks each eigenvector's sign; every consumer multiplies two
+    # entries of one column, and (-a)(-b) is exactly ab
+    _, dec = decompose(g)
+    flip = np.where(np.random.default_rng(7).random(dec.n) < 0.5, -1.0, 1.0)
+    assert (flip < 0).any()
+    flipped = SpectralDecomposition(dec.mu, np.ascontiguousarray(dec.V * flip))
+    for t in (0, 1e-3, 0.1, 1, 7.5):
+        assert np.array_equal(kernel_spectral(flipped, t), kernel_spectral(dec, t))
+    for x in range(g.n):
+        for y in range(g.n):
+            for d in range(4):
+                assert spectral_path_identity(flipped, x, y, d) == spectral_path_identity(
+                    dec, x, y, d
+                )
 
 
 def test_outputs_are_read_only():

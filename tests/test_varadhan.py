@@ -153,7 +153,6 @@ def test_estimate_grid_far_corner_both_samplers():
     x, y = g.index_of("a0"), g.index_of("b2")
     for sampler in (spectral_sampler(g), uniformization_sampler(g)):
         est = estimate_pair(sampler, x, y)
-        assert est.converged
         assert (est.d_hat, est.n_hat) == (3, 3)
         assert not est.unreachable
         assert est.t_used > 0
@@ -172,7 +171,7 @@ def test_estimate_self_pair():
     g = corpus.reference_grid()
     est = estimate_pair(spectral_sampler(g), 0, 0)
     assert (est.d_hat, est.n_hat) == (0, 1)
-    assert est.converged
+    assert not est.unreachable
 
 
 def test_estimate_is_scale_invariant_in_t0():
@@ -206,7 +205,6 @@ def test_estimate_unreachable_pair():
     est = estimate_pair(uniformization_sampler(g), 0, 2)
     assert est.unreachable
     assert est.d_hat is None and est.n_hat is None
-    assert not est.converged
     assert est.exponent_trace == ()
 
 
@@ -277,7 +275,7 @@ def test_estimates_match_bfs_on_small_trees(seed):
     profile = bfs_profile(g, 0)
     for y in range(1, g.n):
         est = estimate_pair(sampler, 0, y, t0=0.1, levels=16)
-        assert est.converged
+        assert not est.unreachable
         assert est.d_hat == profile.dist[y]
         assert est.n_hat == profile.geodesic_count[y]
 
@@ -287,7 +285,7 @@ def test_uniformization_sampler_default_eps_keeps_deep_pairs_alive():
     # exact zeros and the estimator would falsely report "unreachable"
     g = corpus.path_graph(7)
     est = estimate_pair(uniformization_sampler(g), 0, 6, t0=0.1, levels=16)
-    assert est.converged
+    assert not est.unreachable
     assert (est.d_hat, est.n_hat) == (6, 1)
 
 
