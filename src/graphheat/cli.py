@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import sys
 from pathlib import Path
 
@@ -268,14 +269,13 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
 
 
 def _cmd_paths(g: Graph, args: argparse.Namespace):
-    profiles: dict[int, object] = {}
+    # One profile per source; the global bfs_profile is read at each new source.
+    profile_of = functools.cache(lambda x: bfs_profile(g, x))
     rows = []
     for x, y in _resolve_pairs(g, args.pair, include_diagonal=False):
-        profile = profiles.get(x)
-        if profile is None:
-            profile = profiles[x] = bfs_profile(g, x)
-        d = profile.dist[y]  # type: ignore[attr-defined]
-        count = profile.geodesic_count[y]  # type: ignore[attr-defined]
+        profile = profile_of(x)
+        d = profile.dist[y]
+        count = profile.geodesic_count[y]
         rows.append(
             [g.labels[x], g.labels[y], "unreachable" if d is None else str(d), str(count)]
         )

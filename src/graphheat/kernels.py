@@ -40,6 +40,13 @@ def _check_time(t: float) -> None:
         raise ValueError(f"time must be finite, got {t}")
 
 
+def _check_eps(eps: float) -> None:
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+
+
 def kernel_spectral(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Evaluate ``V diag(e^{mu t}) V^T`` from a precomputed eigendecomposition.
 
@@ -131,10 +138,7 @@ def kernel_uniformization(
     ``K[x, y] == K[y, x]`` holds exactly.
     """
     _check_time(t)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
+    _check_eps(eps)
     n = g.n
     c = g.max_weighted_degree()
     if c * t > _MAX_CT:

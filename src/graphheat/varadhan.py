@@ -171,7 +171,7 @@ class DistanceEstimate:
     ``d_hat is None`` means every sample sat at or below the positivity
     floor: the pair is reported unreachable.
     ``exponent_trace`` keeps the raw dyadic exponent estimates, one per
-    consecutive pair of live samples.
+    consecutive pair of live samples until the distance is fixed.
     """
 
     d_hat: int | None
@@ -205,13 +205,15 @@ def estimate_pair(
 ) -> DistanceEstimate:
     """Recover graph distance and geodesic count from short-time samples.
 
-    Samples ``p(t)`` at ``t = t0 * 2^-j``.  Each consecutive pair of live
-    samples gives a dyadic exponent estimate ``log2(p_j / p_{j+1})``; once
+    One pass samples ``p(t)`` at ``t = t0 * 2^-j`` for ``j = 0..levels``.
+    Until the distance is fixed, each consecutive pair of live samples gives
+    a dyadic exponent estimate ``log2(p_j / p_{j+1})``; once
     :data:`STABLE_ROUNDS` consecutive estimates round to the same nonnegative
     integer, each within :data:`EXPONENT_TOL` of it, that integer is the
-    distance.  The count is then ``round(d! * p / t^d)`` at the smallest live
-    sample, shrinking t further while the pre-rounding value strays from an
-    integer by :data:`COUNT_TOL` or more.
+    distance d.  From that level on each sample gives a count read
+    ``d! * p / t^d``.  The count is the rounded read at the first such level
+    whose read lies within :data:`COUNT_TOL` of an integer; the last level or
+    a sample at or below the floor ends the pass with the latest read.
 
     The estimate is scale-invariant: multiplying the sampler by a constant
     shifts no exponent estimate.
@@ -221,62 +223,47 @@ def estimate_pair(
     floor after having been live.
     """
     check_schedule(t0, levels)
-    # Each time t0 * 0.5**j is made as it is sampled: the loop usually stops
+    # Each time t0 * 0.5**j is made as it is sampled: the pass usually stops
     # a few levels in, and a list of every level grows with ``levels``.
-    samples: list[float] = []
     trace: list[float] = []
-    any_alive = False
+    prev: float | None = None  # the latest live sample
     d_hat: int | None = None
-    stable_at: int | None = None
-
     for j in range(levels + 1):
         t = t0 * 0.5**j
         p = float(sampler(t, x, y))
-        alive = p > POSITIVITY_FLOOR
-        samples.append(p)
-        if not alive and any_alive:
-            raise PositivityFloor(
-                f"sample at t={t:.3e} fell to {p:.3e} before the exponent stabilized"
-            )
-        if alive and any_alive:  # no dead sample follows a live one
-            trace.append(math.log(samples[j - 1] / p) / math.log(2.0))
-            if len(trace) >= STABLE_ROUNDS:
-                window = trace[-STABLE_ROUNDS:]
-                r = _round_half_up(window[0])
-                if r >= 0 and all(
-                    _round_half_up(e) == r and abs(e - r) < EXPONENT_TOL
-                    for e in window
-                ):
-                    d_hat = r
-                    stable_at = j
-                    break
-        any_alive = any_alive or alive
+        if not p > POSITIVITY_FLOOR:  # dead, NaN included
+            if prev is None:
+                continue
+            if d_hat is None:
+                raise PositivityFloor(
+                    f"sample at t={t:.3e} fell to {p:.3e} before the exponent stabilized"
+                )
+            break  # deeper samples are below resolution; keep the current read
+        if d_hat is None:
+            if prev is not None:
+                trace.append(math.log(prev / p) / math.log(2.0))
+                if len(trace) >= STABLE_ROUNDS:
+                    window = trace[-STABLE_ROUNDS:]
+                    r = _round_half_up(window[0])
+                    if r >= 0 and all(
+                        _round_half_up(e) == r and abs(e - r) < EXPONENT_TOL
+                        for e in window
+                    ):
+                        d_hat = r
+            prev = p
+        if d_hat is not None:
+            t_used = t
+            raw = math.exp(math.lgamma(d_hat + 1) + math.log(p) - d_hat * math.log(t))
+            n_hat = _round_half_up(raw)
+            if abs(raw - n_hat) < COUNT_TOL:
+                break
 
-    if d_hat is None or stable_at is None:
-        if not any_alive:
-            return DistanceEstimate(None, None, t0 * 0.5**levels, tuple(trace))
+    if d_hat is None:
+        if prev is None:
+            return DistanceEstimate(None, None, t, ())
         raise NoConvergence(
             f"no stable exponent after {levels} refinement levels", tuple(trace)
         )
-
-    # Count phase: read N off the smallest live sample; shrink while the
-    # pre-rounding value is not within COUNT_TOL of an integer.
-    idx = stable_at
-    while True:
-        t_used = t0 * 0.5**idx
-        p_used = samples[idx]
-        raw = math.exp(
-            math.lgamma(d_hat + 1) + math.log(p_used) - d_hat * math.log(t_used)
-        )
-        n_hat = _round_half_up(raw)
-        if abs(raw - n_hat) < COUNT_TOL or idx >= levels:
-            break
-        p_next = float(sampler(t0 * 0.5 ** (idx + 1), x, y))
-        if p_next <= POSITIVITY_FLOOR:
-            break  # deeper samples are below resolution; keep the current read
-        samples.append(p_next)
-        idx += 1
-
     if n_hat < 1:
         raise NoConvergence(
             f"count estimate {raw:.3e} at t={t_used:.3e} is below 1", tuple(trace)
@@ -291,15 +278,8 @@ def estimate_pair(
 
 def _per_time_sampler(kernel_at: Callable[[float], Any]) -> Sampler:
     """Sampler reading every entry at time t off one kernel ``kernel_at(t)``."""
-    cache: dict[float, Any] = {}
-
-    def sample(t: float, x: int, y: int) -> float:
-        K = cache.get(t)
-        if K is None:
-            K = cache[t] = kernel_at(t)
-        return float(K[x, y])
-
-    return sample
+    kernel_at = functools.cache(kernel_at)
+    return lambda t, x, y: float(kernel_at(t)[x, y])
 
 
 def spectral_sampler(g: Graph) -> Sampler:
@@ -319,10 +299,7 @@ def uniformization_sampler(g: Graph, eps: float = POSITIVITY_FLOOR) -> Sampler:
     pair" — with a loose eps, short times would truncate the series before
     order d and report false zeros.
     """
-    from .kernels import kernel_uniformization
+    from .kernels import _check_eps, kernel_uniformization
 
-    if not math.isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_eps(eps)
     return _per_time_sampler(lambda t: kernel_uniformization(g, t, eps))

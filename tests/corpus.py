@@ -13,6 +13,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from graphheat import Graph, bfs_profile, parse_edge_list
+from graphheat.errors import NoConvergence, PositivityFloor
+from graphheat.varadhan import (
+    COUNT_TOL,
+    EXPONENT_TOL,
+    POSITIVITY_FLOOR,
+    STABLE_ROUNDS,
+    DistanceEstimate,
+    Sampler,
+    _round_half_up,
+    check_schedule,
+)
 
 # 2x3 grid with one row labelled a*, the other b*; the worked golden pairs
 # live at (a0, b1) — distance 2, two geodesics — and (a0, b2) — distance 3,
@@ -216,3 +227,74 @@ def horner(coeffs: Sequence, t):
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
+
+
+def estimate_pair_two_phase(
+    sampler: Sampler, x: int, y: int, t0: float = 0.1, levels: int = 20
+) -> DistanceEstimate:
+    """Per-pair oracle for :func:`graphheat.estimate_pair`, in two phases.
+
+    The exponent phase samples dyadic levels until the exponent estimates
+    stabilize; the count phase then rereads the count at that level and
+    shrinks t while the read is not within ``COUNT_TOL`` of an integer.  It
+    gives the same estimate, exception, message, exponent trace and sample
+    times as the single pass, for any sampler whose samples are not NaN.
+    """
+    check_schedule(t0, levels)
+    samples: list[float] = []
+    trace: list[float] = []
+    any_alive = False
+    d_hat: int | None = None
+    stable_at: int | None = None
+
+    for j in range(levels + 1):
+        t = t0 * 0.5**j
+        p = float(sampler(t, x, y))
+        alive = p > POSITIVITY_FLOOR
+        samples.append(p)
+        if not alive and any_alive:
+            raise PositivityFloor(
+                f"sample at t={t:.3e} fell to {p:.3e} before the exponent stabilized"
+            )
+        if alive and any_alive:  # no dead sample follows a live one
+            trace.append(math.log(samples[j - 1] / p) / math.log(2.0))
+            if len(trace) >= STABLE_ROUNDS:
+                window = trace[-STABLE_ROUNDS:]
+                r = _round_half_up(window[0])
+                if r >= 0 and all(
+                    _round_half_up(e) == r and abs(e - r) < EXPONENT_TOL
+                    for e in window
+                ):
+                    d_hat = r
+                    stable_at = j
+                    break
+        any_alive = any_alive or alive
+
+    if d_hat is None or stable_at is None:
+        if not any_alive:
+            return DistanceEstimate(None, None, t0 * 0.5**levels, tuple(trace))
+        raise NoConvergence(
+            f"no stable exponent after {levels} refinement levels", tuple(trace)
+        )
+
+    idx = stable_at
+    while True:
+        t_used = t0 * 0.5**idx
+        p_used = samples[idx]
+        raw = math.exp(
+            math.lgamma(d_hat + 1) + math.log(p_used) - d_hat * math.log(t_used)
+        )
+        n_hat = _round_half_up(raw)
+        if abs(raw - n_hat) < COUNT_TOL or idx >= levels:
+            break
+        p_next = float(sampler(t0 * 0.5 ** (idx + 1), x, y))
+        if p_next <= POSITIVITY_FLOOR:
+            break  # deeper samples are below resolution; keep the current read
+        samples.append(p_next)
+        idx += 1
+
+    if n_hat < 1:
+        raise NoConvergence(
+            f"count estimate {raw:.3e} at t={t_used:.3e} is below 1", tuple(trace)
+        )
+    return DistanceEstimate(d_hat, n_hat, t_used, tuple(trace))

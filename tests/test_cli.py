@@ -2,6 +2,7 @@
 
 import math
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -603,6 +604,13 @@ def test_estimate_options_checked_on_a_graph_without_pairs(
 _EPS_COMMANDS = [["kernel", *_PATH_AC, "--t", "1"], ["estimate", *_PATH_AC]]
 
 
+@pytest.mark.parametrize("command", _EPS_COMMANDS, ids=lambda c: c[0])
+def test_negative_infinite_eps_message(capsys, tmp_path, command):
+    # both commands check "positive" before "finite"; estimate once said "finite"
+    err = rejected_graph_stderr(capsys, tmp_path, [*command, *_UNIF, "--eps=-inf"], "a b\nb c\n")
+    assert err == "error: eps must be positive, got -inf\n"
+
+
 @pytest.mark.parametrize("eps", ["nan", "1e-12"])
 @pytest.mark.parametrize("command", _EPS_COMMANDS, ids=lambda c: c[0])
 def test_eps_without_uniformization_rejected(capsys, tmp_path, command, eps):
@@ -642,6 +650,29 @@ def test_bad_eps_value(capsys, grid_file):
     )
     assert code == 2
     assert "eps" in err
+
+
+# --- README examples ----------------------------------------------------------
+
+
+def test_readme_cli_examples_print_what_the_readme_shows(capsys, tmp_path, monkeypatch):
+    # each "$ graphheat ..." example under "Command line" runs on the README
+    # grid and prints the lines shown below it, byte for byte
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    (tmp_path / "g.txt").write_text(
+        readme.split("```\n# 2x3 grid\n", 1)[1].split("```", 1)[0], encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("Examples on the grid above:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    subcommands = []
+    for chunk in block.strip("\n").split("\n\n"):
+        command, *shown = chunk.split("\n")
+        program, *argv = shlex.split(command.removeprefix("$ "))
+        assert program == "graphheat", command
+        assert run_cli(capsys, argv) == (0, "".join(f"{line}\n" for line in shown), ""), argv
+        subcommands.append(argv[0])
+    assert subcommands == ["series", "paths", "estimate"]
 
 
 # --- installed entry point ----------------------------------------------------

@@ -5,11 +5,14 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from graphheat import (
     Graph,
     NoConvergence,
+    POSITIVITY_FLOOR,
     PositivityFloor,
     UnreachableError,
     bfs_profile,
@@ -316,3 +319,101 @@ def test_sampler_builds_one_kernel_per_time(monkeypatch, engine):
             for y in range(g.n):
                 assert sampler(t, x, y) == K[x, y]
     assert builds == [0.1, 0.05, 0.025]
+
+
+# --- the single pass against the two-phase oracle -----------------------------
+
+
+def _outcome(estimate, sampler, x, y, t0, levels):
+    """What one estimator makes of a sampler: result or exception, and the times."""
+    times = []
+
+    def recording(t, x, y):
+        times.append(t)
+        return sampler(t, x, y)
+
+    try:
+        result = estimate(recording, x, y, t0=t0, levels=levels)
+    except Exception as exc:  # the oracle must raise the same
+        result = (type(exc), str(exc), getattr(exc, "exponent_trace", None))
+    return result, times
+
+
+def assert_matches_two_phase(sampler, x, y, t0, levels):
+    got = _outcome(estimate_pair, sampler, x, y, t0, levels)
+    assert got == _outcome(corpus.estimate_pair_two_phase, sampler, x, y, t0, levels)
+
+
+_DEAD = st.sampled_from([0.0, POSITIVITY_FLOOR, POSITIVITY_FLOOR / 2, -4e-16])
+
+
+@st.composite
+def scripted_levels(draw):
+    """A schedule and one drawn sample per level.
+
+    Live samples follow ``c t^a (1 + b t)`` with an integer or fractional
+    ``a`` and small relative noise; a dead head, a dead tail and single dead
+    levels cut into them.
+    """
+    levels = draw(st.integers(2, 14))
+    t0 = draw(st.sampled_from([0.5, 0.1, 1 / 3, 0.01]))
+    a = draw(st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 8.0)))
+    c = draw(st.sampled_from([0.07, 0.5, 1.0, 2.0, 3.0, 7.5, 40.0, 1e-200]))
+    b = draw(st.sampled_from([0.0, 1.0, -4.0, 20.0, 300.0]))
+    noise = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.05]))
+    head = draw(st.integers(0, levels + 1) | st.just(0))
+    tail = draw(st.integers(0, levels + 1) | st.just(levels + 1))
+    holes = draw(st.dictionaries(st.integers(0, levels), _DEAD, max_size=2))
+    value_at = {}
+    for j in range(levels + 1):
+        t = t0 * 0.5**j
+        if j < head or j >= tail:
+            value_at[t] = draw(_DEAD)
+        elif j in holes:
+            value_at[t] = holes[j]
+        else:
+            wobble = draw(st.floats(-noise, noise)) if noise else 0.0
+            value_at[t] = c * t**a * (1.0 + b * t) * (1.0 + wobble)
+    return t0, levels, value_at
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(scripted_levels())
+def test_single_pass_matches_two_phase_on_scripted_samples(case):
+    t0, levels, value_at = case
+    assert_matches_two_phase(lambda t, x, y: value_at[t], 0, 1, t0, levels)
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        lambda: corpus.random_weighted_graph(7, 9, 0.35),
+        lambda: Graph(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]),
+        lambda: corpus.random_tree(1200, 10),
+    ],
+    ids=["weighted", "two-component", "tree"],
+)
+@pytest.mark.parametrize("make_sampler", [spectral_sampler, uniformization_sampler])
+@pytest.mark.parametrize("t0, levels", [(0.1, 16), (0.5, 6), (0.02, 20)])
+def test_single_pass_matches_two_phase_on_kernel_samples(make_graph, make_sampler, t0, levels):
+    g = make_graph()
+    sampler = make_sampler(g)
+    for x in range(g.n):
+        for y in range(g.n):
+            assert_matches_two_phase(sampler, x, y, t0, levels)
+
+
+def test_nan_sample_counts_as_dead():
+    # d = 2 is fixed at level 4 with the count read 20.375 still off an
+    # integer, so the NaN at level 5 ends the pass with that read (the
+    # two-phase oracle fed the NaN to the count read and raised ValueError)
+    t0 = 0.1
+
+    def sampler(t, x, y):
+        return math.nan if t < t0 / 20 else 10.0 * t**2 * (1.0 + 3.0 * t)
+
+    est = estimate_pair(sampler, 0, 1, t0=t0, levels=8)
+    assert (est.d_hat, est.n_hat, est.t_used) == (2, 20, t0 / 16)
+    assert len(est.exponent_trace) == 4
+    with pytest.raises(PositivityFloor, match="fell to nan"):
+        estimate_pair(lambda t, x, y: t**2 if t > t0 / 4 else math.nan, 0, 1, t0=t0)
