@@ -12,6 +12,12 @@ eigendecomposition and the kernel products run in BLAS/LAPACK, whose results
 can differ in the last bits between thread counts; ``estimate`` rows read
 thresholds off such values and can then change too.
 
+``kernel``, ``estimate``, ``series`` and ``paths`` stream their rows, per
+time and per source, so they hold O(n) rows at a time rather than one per
+pair.  Every input error is raised before the first byte is written, so exit
+status 2 still means empty stdout and an untouched ``--output`` file.
+``verify`` builds all its rows first: its exit status depends on the last.
+
 Only ``spectrum``, ``kernel`` and ``estimate`` load numpy; ``series``,
 ``verify``, ``paths`` and ``bipartite`` run in exact arithmetic without it.
 """
@@ -23,6 +29,7 @@ import contextlib
 import csv
 import functools
 import sys
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from .errors import (
@@ -121,14 +128,17 @@ def _resolve_pairs(
     g: Graph,
     explicit: list[list[str]] | None,
     include_diagonal: bool,
-) -> list[tuple[int, int]]:
+) -> Iterable[tuple[int, int]]:
+    """The ``--pair`` pairs, resolved now, or else all pairs ``x <= y``
+    (``x < y`` without the diagonal), made as they are read."""
     if explicit is not None:
         return [(g.index_of(u), g.index_of(v)) for u, v in explicit]
     lo = 0 if include_diagonal else 1
-    return [(x, y) for x in range(g.n) for y in range(x + lo, g.n)]
+    return ((x, y) for x in range(g.n) for y in range(x + lo, g.n))
 
 
-def _write_csv(output: str | None, header: list[str], rows: list[list[str]]) -> None:
+def _write_csv(output: str | None, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write the header, then each row as the iterable yields it."""
     to_stdout = output is None or output == "-"
     with (
         contextlib.nullcontext(sys.stdout)
@@ -147,26 +157,38 @@ def _cmd_kernel(g: Graph, args: argparse.Namespace):
     from .kernels import DEFAULT_EPS, kernel_spectral, kernel_uniformization
     from .spectral import eigendecompose, kirchhoff_matrix
 
-    pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
+    pairs = None if args.pair is None else _resolve_pairs(g, args.pair, include_diagonal=True)
     eps = DEFAULT_EPS if args.eps is None else args.eps
-    rows = []
-    dec = eigendecompose(kirchhoff_matrix(g)) if args.method == "spectral" else None
     sources = None
     at = pairs
-    if args.method == "uniformization" and args.pair is not None:
+    if args.method == "uniformization" and pairs is not None:
         # Sum only the rows read.  The row block is not symmetric, so every
         # pair is read at its smaller end and (x, y), (y, x) print one value.
         sources = sorted({min(pair) for pair in pairs})
         row_of = {x: i for i, x in enumerate(sources)}
         at = [(row_of[min(pair)], max(pair)) for pair in pairs]
-    for t in args.t_values:
-        if args.method == "spectral":
-            K = kernel_spectral(dec, t)
-        else:
-            K = kernel_uniformization(g, t, eps, rows=sources)
-        for (x, y), (i, j) in zip(pairs, at):
-            rows.append([_fmt_float(t), g.labels[x], g.labels[y], _fmt_float(K[i, j])])
-    return ["t", "x_label", "y_label", "p"], rows, 0
+    # Every kernel is made before the first row, so a bad --t raises first;
+    # T kernels of n^2 floats are far smaller than their rows.
+    if args.method == "spectral":
+        dec = eigendecompose(kirchhoff_matrix(g))
+        kernels = [kernel_spectral(dec, t) for t in args.t_values]
+    else:
+        kernels = [kernel_uniformization(g, t, eps, rows=sources) for t in args.t_values]
+
+    def rows():
+        for t, K in zip(args.t_values, kernels):
+            ts = _fmt_float(t)
+            if pairs is None:
+                for x, lx in enumerate(g.labels):
+                    # One source's upper-triangle row at a time; + 0.0 maps
+                    # -0.0 to 0.0 and repr prints what _fmt_float prints.
+                    for ly, p in zip(g.labels[x:], (K[x, x:] + 0.0).tolist()):
+                        yield [ts, lx, ly, repr(p)]
+            else:
+                for (x, y), (i, j) in zip(pairs, at):
+                    yield [ts, g.labels[x], g.labels[y], _fmt_float(K[i, j])]
+
+    return ["t", "x_label", "y_label", "p"], rows(), 0
 
 
 def _cmd_spectrum(g: Graph, args: argparse.Namespace):
@@ -183,14 +205,14 @@ def _cmd_series(g: Graph, args: argparse.Namespace):
     if args.max_order < 0:
         raise ValueError(f"--max-order must be nonnegative, got {args.max_order}")
     pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
-    rows = []
-    for x, y in pairs:
-        # Consecutive pairs from one source share one walk (see series_prefix).
-        for k, c in enumerate(series_prefix(g, x, y, args.max_order)):
-            rows.append(
-                [g.labels[x], g.labels[y], str(k), str(c.numerator), str(c.denominator)]
-            )
-    return ["x_label", "y_label", "k", "numerator", "denominator"], rows, 0
+
+    def rows():
+        for x, y in pairs:
+            # Consecutive pairs from one source share one walk (see series_prefix).
+            for k, c in enumerate(series_prefix(g, x, y, args.max_order)):
+                yield [g.labels[x], g.labels[y], str(k), str(c.numerator), str(c.denominator)]
+
+    return ["x_label", "y_label", "k", "numerator", "denominator"], rows(), 0
 
 
 _VERIFY_HEADER = [
@@ -251,35 +273,45 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
             )
     pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
     check_schedule(t0, args.levels)  # also on a graph without pairs
-    rows = []
-    for x, y in pairs:
-        lx, ly = g.labels[x], g.labels[y]
-        try:
-            est = estimate_pair(sampler, x, y, t0=t0, levels=args.levels)
-        except (NoConvergence, PositivityFloor):
-            rows.append([lx, ly, "", "", "", "false"])
-            continue
-        if est.unreachable:
-            rows.append([lx, ly, "unreachable", "", _fmt_float(est.t_used), "false"])
-        else:
-            rows.append(
-                [lx, ly, str(est.d_hat), str(est.n_hat), _fmt_float(est.t_used), "true"]
-            )
-    return ["x", "y", "d_hat", "N_hat", "t_used", "converged"], rows, 0
+    if args.method == "uniformization":
+        from .kernels import _check_ct
+
+        # Every sample time is at most t0, so this is the engine's c*t check
+        # of every sample, made before the first row.
+        _check_ct(g.max_weighted_degree(), t0)
+
+    def rows():
+        for x, y in pairs:
+            lx, ly = g.labels[x], g.labels[y]
+            try:
+                est = estimate_pair(sampler, x, y, t0=t0, levels=args.levels)
+            except (NoConvergence, PositivityFloor):
+                yield [lx, ly, "", "", "", "false"]
+                continue
+            if est.unreachable:
+                yield [lx, ly, "unreachable", "", _fmt_float(est.t_used), "false"]
+            else:
+                yield [lx, ly, str(est.d_hat), str(est.n_hat), _fmt_float(est.t_used), "true"]
+
+    return ["x", "y", "d_hat", "N_hat", "t_used", "converged"], rows(), 0
 
 
 def _cmd_paths(g: Graph, args: argparse.Namespace):
-    # One profile per source; the global bfs_profile is read at each new source.
-    profile_of = functools.cache(lambda x: bfs_profile(g, x))
-    rows = []
-    for x, y in _resolve_pairs(g, args.pair, include_diagonal=False):
-        profile = profile_of(x)
-        d = profile.dist[y]
-        count = profile.geodesic_count[y]
-        rows.append(
-            [g.labels[x], g.labels[y], "unreachable" if d is None else str(d), str(count)]
-        )
-    return ["x", "y", "d", "count"], rows, 0
+    pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
+    # One profile per source; the global bfs_profile is read at each new
+    # source.  All pairs come source by source, so only the latest is kept.
+    profile_of = functools.lru_cache(maxsize=None if args.pair else 1)(
+        lambda x: bfs_profile(g, x)
+    )
+
+    def rows():
+        for x, y in pairs:
+            profile = profile_of(x)
+            d = profile.dist[y]
+            count = profile.geodesic_count[y]
+            yield [g.labels[x], g.labels[y], "unreachable" if d is None else str(d), str(count)]
+
+    return ["x", "y", "d", "count"], rows(), 0
 
 
 def _cmd_bipartite(g: Graph, args: argparse.Namespace):

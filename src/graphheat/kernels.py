@@ -47,6 +47,14 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be finite, got {eps}")
 
 
+def _check_ct(c: float, t: float) -> None:
+    if c * t > _MAX_CT:
+        raise ValueError(
+            f"largest weighted degree {c!r} times t = {t!r} exceeds {_MAX_CT!r}, "
+            "the uniformization engine's limit on c*t"
+        )
+
+
 def kernel_spectral(dec: SpectralDecomposition, t: float) -> np.ndarray:
     """Evaluate ``V diag(e^{mu t}) V^T`` from a precomputed eigendecomposition.
 
@@ -107,7 +115,8 @@ def _unit_rows(n: int, rows: list[int] | None) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _latest_shifted_matrix(g: Graph) -> np.ndarray:
     """``P = (A - D)/c + I`` of the latest graph, built once for all its times."""
-    P = kirchhoff_matrix(g).dense / g.max_weighted_degree() + np.eye(g.n)
+    P = kirchhoff_matrix(g).dense / g.max_weighted_degree()
+    P[np.diag_indices(g.n)] += 1.0  # in place: no n x n identity or sum
     P.setflags(write=False)
     return P
 
@@ -141,11 +150,7 @@ def kernel_uniformization(
     _check_eps(eps)
     n = g.n
     c = g.max_weighted_degree()
-    if c * t > _MAX_CT:
-        raise ValueError(
-            f"largest weighted degree {c!r} times t = {t!r} exceeds {_MAX_CT!r}, "
-            "the uniformization engine's limit on c*t"
-        )
+    _check_ct(c, t)
     if rows is not None:
         rows = list(rows)  # a tuple would index as one (row, column) entry
     if c == 0.0 or t == 0:

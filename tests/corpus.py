@@ -154,6 +154,24 @@ def random_weighted_graph(seed: int, n: int, p: float) -> Graph:
     return Graph(base.n, base.edges, weights=weights)
 
 
+def random_weighted_gnm(seed: int, n: int, m: int) -> Graph:
+    """m weighted edges on n vertices: a random recursive tree, then random edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < m:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    edges = sorted(edges)
+    return Graph(n, edges, weights={e: rng.choice(WEIGHT_POOL) for e in edges})
+
+
+def edge_list_text(g: Graph) -> str:
+    """``g`` as an edge-list file, one ``u v [weight]`` line per edge."""
+    if g.weights is None:
+        return "".join(f"{u} {v}\n" for u, v in g.edges)
+    return "".join(f"{u} {v} {g.weights[(u, v)]}\n" for u, v in g.edges)
+
+
 def kirchhoff_exact(g: Graph) -> tuple[tuple[int | Fraction, ...], ...]:
     """Exact ``A - D`` as rows of ints (unweighted) or Fractions.
 

@@ -6,6 +6,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -145,6 +146,104 @@ def test_output_file_matches_stdout(capsys, grid_file, tmp_path):
     assert out_file.read_text(encoding="utf-8") == stdout_text
 
 
+def test_kernel_rows_print_what_fmt_float_prints(capsys, tmp_path, monkeypatch):
+    import numpy as np
+
+    from graphheat import kernels
+
+    # all pairs are read a source row at a time, --pair entries one by one
+    values = (-0.0, 5e-324, 2.2250738585072014e-308, 1e300, 0.1 + 0.2)
+    K = np.array([[-0.0, 5e-324, 2.2250738585072014e-308],
+                  [5e-324, 1e300, 0.1 + 0.2],
+                  [2.2250738585072014e-308, 0.1 + 0.2, -0.0]])
+    K.setflags(write=False)
+    monkeypatch.setattr(kernels, "kernel_spectral", lambda dec, t: K)
+    p = tmp_path / "path.txt"
+    p.write_text("a b\nb c\n", encoding="utf-8")
+    labels = ("a", "b", "c")
+    pairs = [(x, y) for x in range(3) for y in range(3)]
+    for argv in ([], [arg for x, y in pairs for arg in ("--pair", labels[x], labels[y])]):
+        code, out, _ = run_cli(capsys, ["kernel", "--graph", str(p), "--t", "1", *argv])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        want = [(x, y) for x, y in pairs if argv or x <= y]
+        assert [row[1:3] for row in rows] == [[labels[x], labels[y]] for x, y in want]
+        for row, (x, y) in zip(rows, want):
+            assert row[3] == cli._fmt_float(K[x, y])
+        printed = {row[3] for row in rows}
+        assert printed == {"0.0", *map(repr, values[1:])}
+        assert "-0.0" not in out
+
+
+# --- streaming ----------------------------------------------------------------
+
+
+_STREAMING_ERRORS = [
+    pytest.param(["kernel", "--method", "uniformization", "--t", "0.1", "--t", "1e300"],
+                 id="kernel-uniformization-huge-second-t"),
+    pytest.param(["kernel", "--t", "0.1", "--t", "nan"], id="kernel-nan-second-t"),
+    pytest.param(["kernel", "--t", "0.1", "--t", "-1"], id="kernel-negative-second-t"),
+    pytest.param(["estimate", "--method", "uniformization", "--t0", "1e5"],
+                 id="estimate-uniformization-huge-t0"),
+]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("command", _STREAMING_ERRORS)
+def test_streamed_input_errors_come_before_the_first_byte(capsys, tmp_path, command, to_file):
+    # the kernel cases fail at their second time and the estimate case at
+    # its first sample, so a check left inside the row stream would print
+    # the header, and for kernel the first time's rows, before exiting 2
+    graph = tmp_path / "path.txt"
+    graph.write_text("a b\nb c\n", encoding="utf-8")
+    report = tmp_path / "report.csv"
+    report.write_bytes(b"sentinel\r\n")
+    argv = [command[0], "--graph", str(graph), *command[1:]]
+    code, out, err = run_cli(capsys, [*argv, "--output", str(report)] if to_file else argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert report.read_bytes() == b"sentinel\r\n"
+
+
+def traced_peak(argv: list[str]) -> int:
+    """Peak traced bytes of one call, after a warm-up call has loaded every module."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("method", ["spectral", "uniformization"])
+def test_kernel_memory_does_not_grow_with_the_row_count(tmp_path, method):
+    # built all at once, the n(n+1) rows of two times took 34 x 8 n^2
+    # bytes; two kernels and their engine's temporaries take a few 8 n^2
+    g = corpus.random_weighted_gnm(7, 200, 600)
+    p = tmp_path / "w200.txt"
+    p.write_text(corpus.edge_list_text(g), encoding="utf-8")
+    report = tmp_path / "report.csv"
+    peak = traced_peak(["kernel", "--graph", str(p), "--t", "0.5", "--t", "2",
+                        "--method", method, "--output", str(report)])
+    assert peak < 16 * 8 * g.n**2
+    assert len(report.read_text(encoding="utf-8").splitlines()) == 1 + g.n * (g.n + 1)
+
+
+@pytest.mark.parametrize("subcommand", ["series", "paths"])
+def test_series_and_paths_memory_does_not_grow_with_the_row_count(tmp_path, subcommand):
+    # the numpy-free CI job runs this too; built all at once, the rows took
+    # about 117 (series) and 19 (paths) x 8 n^2 bytes
+    g = corpus.grid_graph(10, 10)
+    p = tmp_path / "grid10.txt"
+    p.write_text(corpus.edge_list_text(g), encoding="utf-8")
+    report = tmp_path / "report.csv"
+    peak = traced_peak([subcommand, "--graph", str(p), "--output", str(report)])
+    assert peak < 8 * 8 * g.n**2
+    rows = g.n * (g.n + 1) // 2 * 7 if subcommand == "series" else g.n * (g.n - 1) // 2
+    assert len(report.read_text(encoding="utf-8").splitlines()) == 1 + rows
+
+
 # --- spectrum ----------------------------------------------------------------
 
 
@@ -190,9 +289,7 @@ def test_series_default_covers_all_pairs_with_diagonal(capsys, grid_file):
 def test_series_walks_once_per_source(capsys, tmp_path, monkeypatch):
     g = corpus.random_weighted_graph(3, 12, 0.3)
     p = tmp_path / "w12.txt"
-    p.write_text(
-        "".join(f"{u} {v} {g.weights[(u, v)]}\n" for u, v in g.edges), encoding="utf-8"
-    )
+    p.write_text(corpus.edge_list_text(g), encoding="utf-8")
     sources = []
     real = series.walk_vectors
 

@@ -249,6 +249,18 @@ _ROW_BLOCK_CASES = [
 ]
 
 
+@pytest.mark.parametrize("build", [case.values[0] for case in _ROW_BLOCK_CASES[:4]],
+                         ids=[case.id for case in _ROW_BLOCK_CASES[:4]])
+def test_shifted_matrix_has_the_bits_of_the_identity_sum(build):
+    # the diagonal is shifted in place, with the bits of (A - D)/c + I
+    g = build()
+    P = kernels._latest_shifted_matrix(g)
+    want = kirchhoff_matrix(g).dense / g.max_weighted_degree() + np.eye(g.n)
+    assert np.array_equal(P, want)
+    assert np.array_equal(np.signbit(P), np.signbit(want))
+    assert not P.flags.writeable
+
+
 @pytest.mark.parametrize("build, times", _ROW_BLOCK_CASES)
 def test_row_block_equals_rows_of_the_full_kernel(build, times):
     g = build()
