@@ -12,11 +12,11 @@ eigendecomposition and the kernel products run in BLAS/LAPACK, whose results
 can differ in the last bits between thread counts; ``estimate`` rows read
 thresholds off such values and can then change too.
 
-``kernel``, ``estimate``, ``series`` and ``paths`` stream their rows, per
-time and per source, so they hold O(n) rows at a time rather than one per
-pair.  Every input error is raised before the first byte is written, so exit
-status 2 still means empty stdout and an untouched ``--output`` file.
-``verify`` builds all its rows first: its exit status depends on the last.
+``kernel``, ``estimate``, ``series``, ``paths`` and ``verify`` stream their
+rows, per time and per source, so they hold O(n) rows at a time rather than
+one per pair.  Every input error is raised before the first byte is written,
+so exit status 2 still means empty stdout and an untouched ``--output`` file.
+The exit status 1 of ``verify`` is known only once its last row is written.
 
 Only ``spectrum``, ``kernel`` and ``estimate`` load numpy; ``series``,
 ``verify``, ``paths`` and ``bipartite`` run in exact arithmetic without it.
@@ -44,11 +44,11 @@ from .series import series_prefix
 from .varadhan import (
     POSITIVITY_FLOOR,
     VaradhanReport,
+    _verify_pairs,
     check_schedule,
     estimate_pair,
     spectral_sampler,
     uniformization_sampler,
-    verify_graph,
     verify_pair,
 )
 
@@ -188,7 +188,7 @@ def _cmd_kernel(g: Graph, args: argparse.Namespace):
                 for (x, y), (i, j) in zip(pairs, at):
                     yield [ts, g.labels[x], g.labels[y], _fmt_float(K[i, j])]
 
-    return ["t", "x_label", "y_label", "p"], rows(), 0
+    return ["t", "x_label", "y_label", "p"], rows(), lambda: 0
 
 
 def _cmd_spectrum(g: Graph, args: argparse.Namespace):
@@ -198,7 +198,7 @@ def _cmd_spectrum(g: Graph, args: argparse.Namespace):
     rows = [
         [str(k + 1), _fmt_float(lam)] for k, lam in enumerate(dec.lambdas)
     ]
-    return ["k", "lambda"], rows, 0
+    return ["k", "lambda"], rows, lambda: 0
 
 
 def _cmd_series(g: Graph, args: argparse.Namespace):
@@ -212,7 +212,7 @@ def _cmd_series(g: Graph, args: argparse.Namespace):
             for k, c in enumerate(series_prefix(g, x, y, args.max_order)):
                 yield [g.labels[x], g.labels[y], str(k), str(c.numerator), str(c.denominator)]
 
-    return ["x_label", "y_label", "k", "numerator", "denominator"], rows(), 0
+    return ["x_label", "y_label", "k", "numerator", "denominator"], rows(), lambda: 0
 
 
 _VERIFY_HEADER = [
@@ -242,18 +242,28 @@ def _verify_row(report: VaradhanReport | tuple[str, str]) -> list[str]:
 
 def _cmd_verify(g: Graph, args: argparse.Namespace):
     if args.pair is None:
-        summary = verify_graph(g)
-        results = [*summary.reports, *summary.skipped]
+        results = _verify_pairs(g)
     else:
-        results = []
-        for x, y in _resolve_pairs(g, args.pair, include_diagonal=True):
-            try:
-                results.append(verify_pair(g, x, y))
-            except UnreachableError:
-                results.append((g.labels[x], g.labels[y]))
-    rows = [_verify_row(r) for r in results]
-    any_fail = any(isinstance(r, VaradhanReport) and not r.passed for r in results)
-    return _VERIFY_HEADER, rows, (1 if any_fail else 0)
+        pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
+
+        def explicit():
+            for x, y in pairs:
+                try:
+                    yield verify_pair(g, x, y)
+                except UnreachableError:
+                    yield g.labels[x], g.labels[y]
+
+        results = explicit()
+    failed = False
+
+    def rows():
+        nonlocal failed
+        for r in results:
+            failed = failed or (isinstance(r, VaradhanReport) and not r.passed)
+            yield _verify_row(r)
+
+    # Exit 1 if any verdict failed, which is known once the last row is written.
+    return _VERIFY_HEADER, rows(), lambda: 1 if failed else 0
 
 
 def _cmd_estimate(g: Graph, args: argparse.Namespace):
@@ -293,7 +303,7 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
             else:
                 yield [lx, ly, str(est.d_hat), str(est.n_hat), _fmt_float(est.t_used), "true"]
 
-    return ["x", "y", "d_hat", "N_hat", "t_used", "converged"], rows(), 0
+    return ["x", "y", "d_hat", "N_hat", "t_used", "converged"], rows(), lambda: 0
 
 
 def _cmd_paths(g: Graph, args: argparse.Namespace):
@@ -311,7 +321,7 @@ def _cmd_paths(g: Graph, args: argparse.Namespace):
             count = profile.geodesic_count[y]
             yield [g.labels[x], g.labels[y], "unreachable" if d is None else str(d), str(count)]
 
-    return ["x", "y", "d", "count"], rows(), 0
+    return ["x", "y", "d", "count"], rows(), lambda: 0
 
 
 def _cmd_bipartite(g: Graph, args: argparse.Namespace):
@@ -320,7 +330,7 @@ def _cmd_bipartite(g: Graph, args: argparse.Namespace):
         rows = [["false", "", ""]]
     else:
         rows = [["true", g.labels[v], str(colors[v])] for v in range(g.n)]
-    return ["bipartite", "x", "class"], rows, 0
+    return ["bipartite", "x", "class"], rows, lambda: 0
 
 
 _DISPATCH = {
@@ -349,9 +359,11 @@ def run(args: argparse.Namespace) -> int:
         raise ValueError("--eps applies only to --method uniformization")
     text = Path(args.graph).read_text(encoding="utf-8")
     g = parse_edge_list(text)
+    # Each subcommand returns its header, its rows and a callable giving the
+    # exit status, read once the last row is written.
     header, rows, status = _DISPATCH[args.subcommand](g, args)
     _write_csv(args.output, header, rows)
-    return status
+    return status()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Literal
+from typing import Any, Callable, Iterator, Literal
 
 from .errors import NoConvergence, PositivityFloor, UnreachableError
 from .graphs import DistanceProfile, Graph, bfs_profile, is_bipartite
@@ -139,25 +139,45 @@ def verify_pair(g: Graph, x: int, y: int) -> VaradhanReport:
     return _make_report(g, x, y, profile, us, dens, _latest_colouring(g))
 
 
+def _verify_pairs(g: Graph) -> Iterator[VaradhanReport | tuple[str, str]]:
+    """The report of every connected pair ``x < y``, source by source, then the
+    labels of every cross-component pair; both in x-major, y-ascending order.
+
+    One BFS profile and one exact walk per source vertex are shared by all of
+    its targets, so a full verification costs n walks rather than one per
+    pair, and holds one source's walk at a time.
+    """
+    colors = is_bipartite(g)
+    # The lowest vertex of each vertex's component: a vertex that no lower
+    # vertex reaches is the lowest of its own, and its profile names the rest.
+    component = list(range(g.n))
+    for x in range(g.n - 1):
+        profile = bfs_profile(g, x)
+        reached = [y for y in range(x + 1, g.n) if profile.dist[y] is not None]
+        if component[x] == x:
+            for y in reached:
+                component[y] = x
+        depth = max(profile.dist[y] for y in reached) + 1 if reached else 0
+        us, dens = walk_vectors(g, x, depth)
+        for y in reached:
+            yield _make_report(g, x, y, profile, us, dens, colors)
+    for x in range(g.n - 1):
+        cx = component[x]
+        for y in range(x + 1, g.n):
+            if component[y] != cx:
+                yield g.labels[x], g.labels[y]
+
+
 def verify_graph(g: Graph) -> VerificationSummary:
     """Verify every connected unordered pair ``x < y``; collect the rest.
 
     One exact walk per source vertex is shared by all of its targets, so a
     full verification costs n walks rather than one per pair.
     """
-    colors = is_bipartite(g)
     reports: list[VaradhanReport] = []
     skipped: list[tuple[str, str]] = []
-    for x in range(g.n - 1):
-        targets = range(x + 1, g.n)
-        profile = bfs_profile(g, x)
-        finite = [profile.dist[y] for y in targets if profile.dist[y] is not None]
-        us, dens = walk_vectors(g, x, (max(finite) + 1) if finite else 0)
-        for y in targets:
-            if profile.dist[y] is None:
-                skipped.append((g.labels[x], g.labels[y]))
-            else:
-                reports.append(_make_report(g, x, y, profile, us, dens, colors))
+    for result in _verify_pairs(g):
+        (skipped if isinstance(result, tuple) else reports).append(result)
     return VerificationSummary(tuple(reports), tuple(skipped))
 
 

@@ -73,6 +73,13 @@ def grid_graph(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, edges)
 
 
+def interleaved_grids(rows: int, cols: int) -> Graph:
+    """Two ``rows x cols`` grids, one on the even and one on the odd vertices,
+    so that the vertex order alternates between the two components."""
+    grid = grid_graph(rows, cols)
+    return Graph(2 * grid.n, [(2 * u + c, 2 * v + c) for u, v in grid.edges for c in (0, 1)])
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return True

@@ -1,5 +1,6 @@
 """CSV command-line surface: schemas, golden rows, exit codes, determinism."""
 
+import dataclasses
 import math
 import os
 import shlex
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import corpus
-from graphheat import VaradhanReport, VerificationSummary
+from graphheat import VaradhanReport, bfs_profile, parse_edge_list
 from graphheat import cli, series, varadhan
 from graphheat.cli import main
 
@@ -185,15 +186,18 @@ _STREAMING_ERRORS = [
     pytest.param(["kernel", "--t", "0.1", "--t", "-1"], id="kernel-negative-second-t"),
     pytest.param(["estimate", "--method", "uniformization", "--t0", "1e5"],
                  id="estimate-uniformization-huge-t0"),
+    pytest.param(["verify", "--pair", "a", "c", "--pair", "a", "zz"],
+                 id="verify-unknown-second-label"),
 ]
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
 @pytest.mark.parametrize("command", _STREAMING_ERRORS)
 def test_streamed_input_errors_come_before_the_first_byte(capsys, tmp_path, command, to_file):
-    # the kernel cases fail at their second time and the estimate case at
-    # its first sample, so a check left inside the row stream would print
-    # the header, and for kernel the first time's rows, before exiting 2
+    # the kernel cases fail at their second time, the estimate case at its
+    # first sample and the verify case at its second pair, so a check left
+    # inside the row stream would print the header, and for kernel and
+    # verify the first rows, before exiting 2
     graph = tmp_path / "path.txt"
     graph.write_text("a b\nb c\n", encoding="utf-8")
     report = tmp_path / "report.csv"
@@ -242,6 +246,24 @@ def test_series_and_paths_memory_does_not_grow_with_the_row_count(tmp_path, subc
     assert peak < 8 * 8 * g.n**2
     rows = g.n * (g.n + 1) // 2 * 7 if subcommand == "series" else g.n * (g.n - 1) // 2
     assert len(report.read_text(encoding="utf-8").splitlines()) == 1 + rows
+
+
+@pytest.mark.parametrize(
+    "rows, cols, two", [(10, 10, False), (7, 7, True)], ids=["grid10", "two-grids7"]
+)
+def test_verify_memory_does_not_grow_with_the_pair_count(tmp_path, rows, cols, two):
+    # the numpy-free CI job runs this too; built all at once, the reports
+    # and the skipped pairs took about 48 (grid10) and 30 (two-grids7) x 8 n^2
+    # bytes
+    g = corpus.interleaved_grids(rows, cols) if two else corpus.grid_graph(rows, cols)
+    p = tmp_path / "graph.txt"
+    p.write_text(corpus.edge_list_text(g), encoding="utf-8")
+    report = tmp_path / "report.csv"
+    peak = traced_peak(["verify", "--graph", str(p), "--output", str(report)])
+    assert peak < 8 * 8 * g.n**2
+    lines = report.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + g.n * (g.n - 1) // 2
+    assert sum(line.endswith(",na,na,na") for line in lines) == (g.n // 2) ** 2 * two
 
 
 # --- spectrum ----------------------------------------------------------------
@@ -403,13 +425,65 @@ def test_verify_failure_sets_exit_one(capsys, grid_file, monkeypatch):
         leading=Fraction(1), next_coeff=Fraction(-5, 2),
         vanish_ok="fail", leading_ok="pass", bipartite_sign="pass",
     )
-    monkeypatch.setattr(
-        "graphheat.cli.verify_graph",
-        lambda g: VerificationSummary((bad,), ()),
-    )
+    monkeypatch.setattr(cli, "_verify_pairs", lambda g: iter([bad]))
     code, out, _ = run_cli(capsys, ["verify", "--graph", grid_file])
     assert code == 1
     assert "fail" in out
+
+
+def test_verify_failure_in_the_middle_writes_every_row(capsys, tmp_path, monkeypatch):
+    # the rows stream, so the one failing verdict is seen only after the
+    # rows before it are written; all rows follow it, then exit 1
+    g = corpus.interleaved_grids(2, 3)
+    p = tmp_path / "two.txt"
+    p.write_text(corpus.edge_list_text(g), encoding="utf-8")
+    argv = ["verify", "--graph", str(p)]
+    code, expected, _ = run_cli(capsys, argv)
+    assert code == 0
+    expected_rows = expected.splitlines()
+    middle = len(expected_rows) // 3  # a connected pair; the skipped ones come last
+    calls = []
+    real = varadhan._make_report
+
+    def failing_once(*args):
+        report = real(*args)
+        calls.append(report)
+        if len(calls) == middle:
+            return dataclasses.replace(report, vanish_ok="fail")
+        return report
+
+    monkeypatch.setattr(varadhan, "_make_report", failing_once)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (1, "")
+    rows = out.splitlines()
+    assert len(rows) == len(expected_rows)
+    assert [i for i, (a, b) in enumerate(zip(rows, expected_rows)) if a != b] == [middle]
+    assert rows[middle].split(",")[8:] == ["fail", "pass", "pass"]
+    assert expected_rows[-1].endswith(",unreachable,,,,,,na,na,na")
+    calls.clear()
+    report = tmp_path / "report.csv"
+    code, stdout, _ = run_cli(capsys, [*argv, "--output", str(report)])
+    assert (code, stdout) == (1, "")
+    assert report.read_text(encoding="utf-8") == out
+
+
+def test_verify_rows_keep_the_pairwise_order(capsys, tmp_path):
+    # the labels alternate between the two components: connected pairs come
+    # first, x-major and y-ascending in the file's vertex order, then the
+    # cross-component pairs in the same order
+    text = corpus.edge_list_text(corpus.interleaved_grids(2, 3))
+    p = tmp_path / "two.txt"
+    p.write_text(text, encoding="utf-8")
+    g = parse_edge_list(text)
+    code, out, _ = run_cli(capsys, ["verify", "--graph", str(p)])
+    assert code == 0
+    pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+    connected = [(x, y) for x, y in pairs if bfs_profile(g, x).dist[y] is not None]
+    order = connected + [pair for pair in pairs if pair not in connected]
+    assert order != pairs  # the components interleave
+    assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+        [g.labels[x], g.labels[y]] for x, y in order
+    ]
 
 
 def test_verify_pairs_colour_the_graph_once(capsys, grid_file, monkeypatch):

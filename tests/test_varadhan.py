@@ -112,6 +112,27 @@ def test_verify_graph_collects_cross_component_pairs():
     assert all(r.passed for r in summary.reports)
 
 
+@pytest.mark.parametrize(
+    "g",
+    [
+        corpus.interleaved_grids(2, 3),
+        Graph(7, [(1, 2), (4, 5)]),  # isolated first, middle and last vertices
+        Graph(7, [(0, 5), (1, 6), (2, 4), (3, 5)], weights={(1, 6): F(3, 2)}),
+    ],
+    ids=["interleaved-grids", "isolated-vertices", "three-components"],
+)
+def test_verify_graph_keeps_the_pairwise_order(g):
+    # connected pairs x < y in x-major, y-ascending order, each the report
+    # verify_pair gives; then the other pairs x < y in the same order
+    pairs = [(x, y) for x in range(g.n) for y in range(x + 1, g.n)]
+    connected = [(x, y) for x, y in pairs if bfs_profile(g, x).dist[y] is not None]
+    summary = verify_graph(g)
+    assert summary.reports == tuple(verify_pair(g, x, y) for x, y in connected)
+    assert summary.skipped == tuple(
+        (g.labels[x], g.labels[y]) for x, y in pairs if (x, y) not in connected
+    )
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_verify_graph_passes_on_random_bipartite(seed):
     g = corpus.random_bipartite_graph(1000 + seed, 5, 5, 0.4)
