@@ -30,7 +30,6 @@ import csv
 import functools
 import sys
 from collections.abc import Iterable, Sequence
-from pathlib import Path
 
 from .errors import (
     EdgeListError,
@@ -357,8 +356,8 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     if getattr(args, "eps", None) is not None and args.method != "uniformization":
         raise ValueError("--eps applies only to --method uniformization")
-    text = Path(args.graph).read_text(encoding="utf-8")
-    g = parse_edge_list(text)
+    with open(args.graph, encoding="utf-8") as fh:
+        g = parse_edge_list(fh.read())
     # Each subcommand returns its header, its rows and a callable giving the
     # exit status, read once the last row is written.
     header, rows, status = _DISPATCH[args.subcommand](g, args)

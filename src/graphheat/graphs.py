@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateEdgeError,
@@ -21,6 +20,59 @@ from .errors import (
     UnknownVertexError,
     WeightError,
 )
+
+# Bypasses Record.__setattr__, which refuses every assignment after __init__.
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base of the immutable result records.
+
+    A subclass names its fields in ``__slots__``; they are set once, by
+    position or keyword, and compared, hashed and printed in that order.
+    Assigning or deleting a field afterwards raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__slots__
+        if kwargs:
+            try:
+                args += tuple([kwargs.pop(name) for name in fields[len(args):]])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__} missing field {exc}") from None
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, args):
+            _set_field(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: the default would set each
+        # slot through __setattr__, which refuses
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a record")
+
 
 class Graph:
     """Finite simple undirected graph with optional positive rational weights.
@@ -98,21 +150,27 @@ class Graph:
                 key = (u, v) if u < v else (v, u)
                 if key not in seen:
                     raise WeightError(f"weight given for non-edge ({u}, {v})")
-                w = Fraction(w)
+                if not isinstance(w, Fraction):
+                    w = Fraction(w)
                 if not _is_float_representable(w):
                     raise WeightError(
                         f"edge {labels[key[0]]!r} -- {labels[key[1]]!r}: weight {w} "
                         "is not a positive finite float"
                     )
                 wmap[key] = w
+            one = Fraction(1)
             for key in elist:
-                wmap.setdefault(key, Fraction(1))
+                wmap.setdefault(key, one)
         self.weights = wmap
         scale = math.lcm(*(w.denominator for w in (wmap or {}).values()))
 
         wnbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for u, v in elist:
-            w = 1 if wmap is None else int(wmap[(u, v)] * scale)
+            if wmap is None:
+                w = 1
+            else:
+                q = wmap[(u, v)]
+                w = q.numerator * (scale // q.denominator)  # w * s, an integer
             wnbrs[u].append((v, w))
             wnbrs[v].append((u, w))
         self.weight_scale = scale
@@ -207,7 +265,7 @@ def parse_edge_list(text: str) -> Graph:
                 w = Fraction(parts[2])
             except (ValueError, ZeroDivisionError):
                 raise WeightError(f"cannot parse weight {parts[2]!r}", lineno) from None
-            if w <= 0:
+            if w.numerator <= 0:
                 raise WeightError(f"edge weight must be positive, got {parts[2]}", lineno)
             if not _is_float_representable(w):
                 raise WeightError(
@@ -232,13 +290,13 @@ def _is_float_representable(q: Fraction) -> bool:
     the float range overflows.
     """
     try:
-        return 0.0 < float(q) < math.inf
+        # float(q) is this correctly rounded division, without the call
+        return 0.0 < q.numerator / q.denominator < math.inf
     except OverflowError:
         return False
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(Record):
     """Single-source BFS summary.
 
     ``dist[v]`` is the hop distance from the source (``None`` if v is in a
@@ -248,6 +306,7 @@ class DistanceProfile:
     Unreachable vertices get count 0 and weight 0.
     """
 
+    __slots__ = ("dist", "geodesic_count", "geodesic_weight")
     dist: tuple[int | None, ...]
     geodesic_count: tuple[int, ...]
     geodesic_weight: tuple[int | Fraction, ...]

@@ -12,9 +12,9 @@ first nonzero coefficient sits at ``k = d(x, y)`` and equals
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import count, islice
-from typing import Iterator, Sequence
 
 from .graphs import Graph, scaled_laplacian_apply
 

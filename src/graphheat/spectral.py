@@ -8,17 +8,15 @@ at the reporting boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, Record
 
 
-@dataclass(frozen=True)
-class KirchhoffMatrix:
+class KirchhoffMatrix(Record):
     """Dense ``A - D`` as a read-only float64 array, used by the numeric engines."""
 
+    __slots__ = ("dense",)
     dense: np.ndarray
 
 
@@ -35,8 +33,7 @@ def kirchhoff_matrix(g: Graph) -> KirchhoffMatrix:
     return KirchhoffMatrix(dense)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     """Eigenpairs of a Kirchhoff matrix.
 
     ``mu`` is sorted descending, so ``mu[0]`` is the (near-)zero eigenvalue
@@ -45,6 +42,7 @@ class SpectralDecomposition:
     products of two entries of one column, which no sign flip changes.
     """
 
+    __slots__ = ("mu", "V")
     mu: np.ndarray
     V: np.ndarray
 

@@ -12,15 +12,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Literal
 
 from .errors import NoConvergence, PositivityFloor, UnreachableError
-from .graphs import DistanceProfile, Graph, bfs_profile, is_bipartite
+from .graphs import DistanceProfile, Graph, Record, bfs_profile, is_bipartite
 from .series import walk_vectors
 
-Verdict = Literal["pass", "fail", "na"]
+# The annotations are never evaluated, so ``typing`` loads only for a type
+# checker; the exact commands start without it.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Literal
+
+    Verdict = Literal["pass", "fail", "na"]
 
 #: Sampler signature: (t, x, y) -> kernel entry p_t(x, y).
 Sampler = Callable[[float, int, int], float]
@@ -38,8 +43,7 @@ STABLE_ROUNDS = 3
 COUNT_TOL = 0.25
 
 
-@dataclass(frozen=True)
-class VaradhanReport:
+class VaradhanReport(Record):
     """Verification record for one vertex pair.
 
     ``n_geodesics`` is the exact geodesic count (or the geodesic weight — sum
@@ -52,6 +56,10 @@ class VaradhanReport:
     diagonal).
     """
 
+    __slots__ = (
+        "x", "y", "d", "n_geodesics", "leading", "next_coeff",
+        "vanish_ok", "leading_ok", "bipartite_sign",
+    )
     x: str
     y: str
     d: int
@@ -67,10 +75,10 @@ class VaradhanReport:
         return "fail" not in (self.vanish_ok, self.leading_ok, self.bipartite_sign)
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
+class VerificationSummary(Record):
     """All pair reports for a graph, plus the cross-component pairs skipped."""
 
+    __slots__ = ("reports", "skipped")
     reports: tuple[VaradhanReport, ...]
     skipped: tuple[tuple[str, str], ...]
 
@@ -90,30 +98,35 @@ def _make_report(
     """
     d = profile.dist[y]
     n_geodesics = profile.geodesic_weight[y]  # the count, when unweighted
-    leading = Fraction(us[d][y], dens[d])
-    next_coeff = Fraction(us[d + 1][y], dens[d + 1])
+    lead, after = us[d][y], us[d + 1][y]
     vanish_ok: Verdict = "pass" if all(us[k][y] == 0 for k in range(d)) else "fail"
+    # d! * lead / dens[d] == N, cross-multiplied: N is an int or a Fraction.
     leading_ok: Verdict = (
-        "pass" if leading * math.factorial(d) == n_geodesics else "fail"
+        "pass"
+        if lead * math.factorial(d) * n_geodesics.denominator
+        == n_geodesics.numerator * dens[d]
+        else "fail"
     )
+    # dens is positive, so the next coefficient has the sign of its numerator.
     if colors is None:
         bipartite_sign: Verdict = "na"
-    elif next_coeff == 0:
+    elif after == 0:
         bipartite_sign = "na"  # structurally zero: isolated vertex, diagonal pair
-    elif next_coeff < 0:
+    elif after < 0:
         bipartite_sign = "pass"
     else:
         bipartite_sign = "fail"
+    # By position: one report per pair, and keywords cost a lookup per field.
     return VaradhanReport(
-        x=g.labels[x],
-        y=g.labels[y],
-        d=d,
-        n_geodesics=n_geodesics,
-        leading=leading,
-        next_coeff=next_coeff,
-        vanish_ok=vanish_ok,
-        leading_ok=leading_ok,
-        bipartite_sign=bipartite_sign,
+        g.labels[x],
+        g.labels[y],
+        d,
+        n_geodesics,
+        Fraction(lead, dens[d]),
+        Fraction(after, dens[d + 1]),
+        vanish_ok,
+        leading_ok,
+        bipartite_sign,
     )
 
 
@@ -184,8 +197,7 @@ def verify_graph(g: Graph) -> VerificationSummary:
 # --- distance/count recovery from kernel samples ---------------------------
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
+class DistanceEstimate(Record):
     """Result of :func:`estimate_pair`.
 
     ``d_hat is None`` means every sample sat at or below the positivity
@@ -194,6 +206,7 @@ class DistanceEstimate:
     consecutive pair of live samples until the distance is fixed.
     """
 
+    __slots__ = ("d_hat", "n_hat", "t_used", "exponent_trace")
     d_hat: int | None
     n_hat: int | None
     t_used: float

@@ -1,6 +1,5 @@
 """CSV command-line surface: schemas, golden rows, exit codes, determinism."""
 
-import dataclasses
 import math
 import os
 import shlex
@@ -359,14 +358,16 @@ def test_weighted_output_matches_golden_bytes(capsys, graph, argv, golden):
 
 # With "blocked", numpy is unimportable: a None entry in sys.modules makes
 # every ``import numpy`` raise ImportError.  Either way the child reports on
-# stderr whether numpy was loaded by the time main() returned.
+# stderr which of numpy, dataclasses and inspect were loaded by the time
+# main() returned; the exact subcommands need none of them.
 _NUMPY_FREE_CHILD = """\
 import sys
 if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
 from graphheat.cli import main
 code = main(sys.argv[2:])
-print("numpy" in sys.modules, file=sys.stderr)
+loaded = [m for m in ("numpy", "dataclasses", "inspect") if sys.modules.get(m)]
+print(loaded, file=sys.stderr)
 sys.exit(code)
 """
 
@@ -383,7 +384,22 @@ def test_exact_subcommands_run_without_numpy(graph, argv, golden, mode):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / f"{golden}.csv").read_text(encoding="utf-8")
     if mode == "unblocked":
-        assert proc.stderr == "False\n"
+        assert proc.stderr == "[]\n"
+
+
+def test_cli_import_stays_lean_without_site():
+    # -S keeps site-packages' .pth files from importing modules of their own;
+    # what is left is what ``import graphheat.cli`` itself costs every call.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    heavy = ("dataclasses", "inspect", "pathlib", "typing", "numpy")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys, graphheat.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # --- verify ------------------------------------------------------------------
@@ -449,7 +465,10 @@ def test_verify_failure_in_the_middle_writes_every_row(capsys, tmp_path, monkeyp
         report = real(*args)
         calls.append(report)
         if len(calls) == middle:
-            return dataclasses.replace(report, vanish_ok="fail")
+            return VaradhanReport(
+                report.x, report.y, report.d, report.n_geodesics, report.leading,
+                report.next_coeff, "fail", report.leading_ok, report.bipartite_sign,
+            )
         return report
 
     monkeypatch.setattr(varadhan, "_make_report", failing_once)

@@ -1,6 +1,7 @@
 """Graph construction, parsing, BFS geodesic counting, bipartiteness."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
+import graphheat
 from graphheat import (
     DuplicateEdgeError,
     Graph,
@@ -359,3 +361,50 @@ def test_bfs_is_invariant_under_relabeling(data):
         for y in range(n):
             assert pg.dist[y] == ph.dist[perm[y]]
             assert pg.geodesic_count[y] == ph.geodesic_count[perm[y]]
+
+
+# --- result records -----------------------------------------------------------
+
+_REPORT_FIELDS = dict(
+    x="a", y="c", d=2, n_geodesics=Fraction(3, 2), leading=Fraction(3, 4),
+    next_coeff=Fraction(-1, 2), vanish_ok="pass", leading_ok="pass", bipartite_sign="na",
+)
+_RECORDS = [
+    ("DistanceProfile", dict(
+        dist=(0, 1, None), geodesic_count=(1, 1, 0), geodesic_weight=(1, Fraction(1, 2), 0),
+    )),
+    ("VaradhanReport", _REPORT_FIELDS),
+    ("VerificationSummary", dict(
+        reports=(graphheat.VaradhanReport(**_REPORT_FIELDS),), skipped=(("a", "z"),),
+    )),
+    ("DistanceEstimate", dict(d_hat=2, n_hat=3, t_used=0.025, exponent_trace=(1.9, 2.0, 2.0))),
+    # arrays are unhashable, so the numeric records hold tuples here
+    ("KirchhoffMatrix", dict(dense=((-1.0, 1.0), (1.0, -1.0)))),
+    ("SpectralDecomposition", dict(mu=(0.0, -2.0), V=((0.5, 0.5), (0.5, -0.5)))),
+]
+
+
+@pytest.mark.parametrize("name, fields", _RECORDS, ids=[name for name, _ in _RECORDS])
+def test_records_keep_their_contract(name, fields):
+    cls = getattr(graphheat, name)
+    a, b = cls(**fields), cls(*fields.values())
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert cls(*list(fields.values())[:-1], "other") != a
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert not isinstance(a, tuple)  # verify tells a report from a skipped pair by this
+    text = repr(a)
+    assert text.startswith(f"{name}(")
+    for field, value in fields.items():
+        assert getattr(a, field) == value
+        assert f"{field}={value!r}" in text
+        with pytest.raises(AttributeError):
+            setattr(a, field, value)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(TypeError):
+        cls(**fields, extra=1)
+    with pytest.raises(TypeError):
+        cls(*list(fields.values())[:-1])
