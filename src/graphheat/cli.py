@@ -28,6 +28,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import io
 import sys
 from collections.abc import Iterable, Sequence
 
@@ -136,17 +137,38 @@ def _resolve_pairs(
     return ((x, y) for x in range(g.n) for y in range(x + lo, g.n))
 
 
-def _write_csv(output: str | None, header: list[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write the header, then each row as the iterable yields it."""
+def _csv_fields(labels: Iterable[str]) -> list[str]:
+    """Each label as ``csv.writer`` writes it as one field of a row.
+
+    Each is written in a row of two, "<field>,": a lone empty field would
+    print as "".  Parsed labels hold no line break to split on.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows((v, "") for v in labels)
+    return [line[:-1] for line in buf.getvalue().split("\n")[:-1]]
+
+
+def _write_csv(
+    output: str | None, header: list[str] | str, rows: Iterable[Sequence[str]] | Iterable[str]
+) -> None:
+    """Write the header, then each row as the iterable yields it.
+
+    A header given as one line of CSV text says that the rows come as CSV
+    text too, in blocks of whole lines, which are written as they are.
+    """
     to_stdout = output is None or output == "-"
     with (
         contextlib.nullcontext(sys.stdout)
         if to_stdout
         else open(output, "w", encoding="utf-8", newline="")
     ) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(header, str):
+            fh.write(header)
+            fh.writelines(rows)
+        else:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -172,22 +194,28 @@ def _cmd_kernel(g: Graph, args: argparse.Namespace):
         dec = eigendecompose(kirchhoff_matrix(g))
         kernels = [kernel_spectral(dec, t) for t in args.t_values]
     else:
-        kernels = [kernel_uniformization(g, t, eps, rows=sources) for t in args.t_values]
+        kernels = kernel_uniformization(g, args.t_values, eps, rows=sources)  # one pass
+    # Rows are joined here, a block per source, with each label quoted once
+    # as csv.writer quotes it; times and repr'd floats never need quoting.
+    labels = _csv_fields(g.labels)
 
     def rows():
         for t, K in zip(args.t_values, kernels):
             ts = _fmt_float(t)
             if pairs is None:
-                for x, lx in enumerate(g.labels):
+                for x, lx in enumerate(labels):
                     # One source's upper-triangle row at a time; + 0.0 maps
                     # -0.0 to 0.0 and repr prints what _fmt_float prints.
-                    for ly, p in zip(g.labels[x:], (K[x, x:] + 0.0).tolist()):
-                        yield [ts, lx, ly, repr(p)]
+                    head = f"{ts},{lx},"
+                    yield "".join([
+                        f"{head}{ly},{p!r}\n"
+                        for ly, p in zip(labels[x:], (K[x, x:] + 0.0).tolist())
+                    ])
             else:
                 for (x, y), (i, j) in zip(pairs, at):
-                    yield [ts, g.labels[x], g.labels[y], _fmt_float(K[i, j])]
+                    yield f"{ts},{labels[x]},{labels[y]},{_fmt_float(K[i, j])}\n"
 
-    return ["t", "x_label", "y_label", "p"], rows(), lambda: 0
+    return "t,x_label,y_label,p\n", rows(), lambda: 0
 
 
 def _cmd_spectrum(g: Graph, args: argparse.Namespace):
@@ -266,10 +294,11 @@ def _cmd_verify(g: Graph, args: argparse.Namespace):
 
 
 def _cmd_estimate(g: Graph, args: argparse.Namespace):
-    if args.method == "spectral":
-        sampler = spectral_sampler(g)
-    else:
-        sampler = uniformization_sampler(g, POSITIVITY_FLOOR if args.eps is None else args.eps)
+    eps = POSITIVITY_FLOOR if args.eps is None else args.eps
+    if args.method == "uniformization":
+        from .kernels import _check_ct, _check_eps
+
+        _check_eps(eps)
     if args.t0 is not None:
         t0 = args.t0
     else:
@@ -282,27 +311,35 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
             )
     pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
     check_schedule(t0, args.levels)  # also on a graph without pairs
-    if args.method == "uniformization":
-        from .kernels import _check_ct
-
+    # Every input is checked before a sampler is made: the spectral one
+    # decomposes the graph at once.
+    if args.method == "spectral":
+        sampler = spectral_sampler(g)
+    else:
         # Every sample time is at most t0, so this is the engine's c*t check
         # of every sample, made before the first row.
         _check_ct(g.max_weighted_degree(), t0)
+        # The times estimate_pair reads, with its expression.  0.5**j is 0.0
+        # past j = 1074, so a deeper time is 0.0 too and adds nothing.
+        times = [t0 * 0.5**j for j in range(min(args.levels, 1075) + 1)]
+        sampler = uniformization_sampler(g, eps, times)
+
+    labels = _csv_fields(g.labels)
 
     def rows():
         for x, y in pairs:
-            lx, ly = g.labels[x], g.labels[y]
+            head = f"{labels[x]},{labels[y]},"
             try:
                 est = estimate_pair(sampler, x, y, t0=t0, levels=args.levels)
             except (NoConvergence, PositivityFloor):
-                yield [lx, ly, "", "", "", "false"]
+                yield f"{head},,,false\n"
                 continue
             if est.unreachable:
-                yield [lx, ly, "unreachable", "", _fmt_float(est.t_used), "false"]
+                yield f"{head}unreachable,,{_fmt_float(est.t_used)},false\n"
             else:
-                yield [lx, ly, str(est.d_hat), str(est.n_hat), _fmt_float(est.t_used), "true"]
+                yield f"{head}{est.d_hat},{est.n_hat},{_fmt_float(est.t_used)},true\n"
 
-    return ["x", "y", "d_hat", "N_hat", "t_used", "converged"], rows(), lambda: 0
+    return "x,y,d_hat,N_hat,t_used,converged\n", rows(), lambda: 0
 
 
 def _cmd_paths(g: Graph, args: argparse.Namespace):

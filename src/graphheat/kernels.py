@@ -7,7 +7,10 @@ never subtracts, so its entries are nonnegative by construction and tiny
 entries keep relative accuracy.  Uniformization can also sum only a block of
 source rows ``K[rows, :]``, applying the series to those unit vectors rather
 than to the identity, so a few entries cost ``O(len(rows) n^2)`` per term
-instead of ``O(n^3)``.
+instead of ``O(n^3)``.  Its terms ``B P^k`` do not depend on t, so the
+kernels of several times are summed in one pass over them: the pass costs
+as many products as the largest time needs, not the sum over the times, and
+each kernel keeps the bits of a pass of its own.
 """
 
 from __future__ import annotations
@@ -74,33 +77,48 @@ def kernel_spectral(dec: SpectralDecomposition, t: float) -> np.ndarray:
     return K
 
 
-def _poisson_series(P: np.ndarray, B: np.ndarray, ct: float, eps: float) -> np.ndarray:
-    """Sum ``e^{-ct} sum_k (ct)^k / k! B P^k`` with a rigorous tail cutoff.
+def _tail_is_below(w: float, ct: float, eps: float, k: int) -> bool:
+    """Whether the Poisson mass after term k, of weight w, is bounded below eps."""
+    return k + 2.0 > ct and w * ct / (k + 1.0) / (1.0 - ct / (k + 2.0)) < eps
+
+
+def _poisson_series(
+    P: np.ndarray, B: np.ndarray, terms: list[tuple[float, float]]
+) -> list[np.ndarray]:
+    """Sum ``e^{-ct} sum_k (ct)^k / k! B P^k`` for each ``(ct, eps)`` of ``terms``.
 
     Poisson weights are accumulated by the exact recurrence
     ``w_{k+1} = w_k * ct / (k+1)``.  Once ``k + 2 > ct`` the remaining mass is
-    bounded by the geometric tail ``w_{k+1} / (1 - ct/(k+2))``; the loop stops
-    when that bound drops below eps.  This terminates for any eps > 0 (the
+    bounded by the geometric tail ``w_{k+1} / (1 - ct/(k+2))``; a sum stops
+    when that bound drops below its eps.  This terminates for any eps > 0 (the
     weights eventually underflow to zero) — an "accumulate until the partial
     sums reach 1 - eps" test would stall near machine precision instead.
     Every row of ``B`` is a unit vector of the standard basis, so the bound
     holds for each row of the sum.
+
+    The powers ``M_k = B P^k`` do not depend on ct, so one pass walks them
+    for every sum, until the last sum stops.  Each sum adds its terms in the
+    order, and stops at the term, that a pass of its own would, so it has the
+    bits of that pass.
     """
-    w = math.exp(-ct)
-    S = w * B
-    M = B
-    del B  # so the first product frees the start block, which may be n x n
+    ws = [math.exp(-ct) for ct, _ in terms]
+    sums = [w * B for w in ws]
+    # Two buffers take turns: each product is written into the spare one,
+    # and the spare then holds every w * M of that term.  The start block is
+    # the caller's to give up, so it becomes a buffer too.
+    M, spare = B, np.empty_like(B)
+    del B
+    live = range(len(terms))
     k = 0
     while True:
-        if k + 2.0 > ct:
-            w_next = w * ct / (k + 1.0)
-            if w_next / (1.0 - ct / (k + 2.0)) < eps:
-                break
+        live = [j for j in live if not _tail_is_below(ws[j], *terms[j], k)]
+        if not live:
+            return sums
         k += 1
-        w *= ct / k
-        M = M @ P
-        S += w * M
-    return S
+        M, spare = np.matmul(M, P, out=spare), M
+        for j in live:
+            ws[j] *= terms[j][0] / k
+            sums[j] += np.multiply(M, ws[j], out=spare)
 
 
 def _unit_rows(n: int, rows: list[int] | None) -> np.ndarray:
@@ -122,8 +140,11 @@ def _latest_shifted_matrix(g: Graph) -> np.ndarray:
 
 
 def kernel_uniformization(
-    g: Graph, t: float, eps: float = DEFAULT_EPS, rows: Sequence[int] | None = None
-) -> np.ndarray:
+    g: Graph,
+    t: float | Sequence[float],
+    eps: float = DEFAULT_EPS,
+    rows: Sequence[int] | None = None,
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Evaluate ``e^{t(A-D)}`` through the substochastic shift ``P = (A-D)/c + I``.
 
     Returns the read-only kernel matrix, ``K[x, y] = p_t(x, y)``.
@@ -136,6 +157,12 @@ def kernel_uniformization(
     preserves nonnegativity since it only multiplies nonnegative matrices.
     A ``c*t`` above ``1e4`` raises :class:`ValueError`.
 
+    Given a sequence of times instead of one, returns a tuple with one kernel
+    per time, in order, repeats allowed.  Their series share one pass over
+    the powers of P (see :func:`_poisson_series`), and each kernel has the
+    bits of a call with its time alone.  A time whose ``c*t`` is split into
+    factors makes its own factor.
+
     With ``rows`` (vertex indices, in any order, repeats allowed), only those
     source rows are summed: the result is the read-only ``(len(rows), n)``
     block ``K[rows, :]``, at ``O(len(rows) n^2)`` per Poisson term instead of
@@ -146,27 +173,44 @@ def kernel_uniformization(
     Without ``rows`` the full kernel is symmetrized, so
     ``K[x, y] == K[y, x]`` holds exactly.
     """
-    _check_time(t)
-    _check_eps(eps)
-    n = g.n
+    single = np.ndim(t) == 0
+    times = [t] if single else list(t)
     c = g.max_weighted_degree()
-    _check_ct(c, t)
+    for s in times:  # each time's checks in turn, as one call per time makes them
+        _check_time(s)
+        _check_eps(eps)
+        _check_ct(c, s)
+    n = g.n
     if rows is not None:
         rows = list(rows)  # a tuple would index as one (row, column) entry
-    if c == 0.0 or t == 0:
-        K = _unit_rows(n, rows)
-    else:
-        P = _latest_shifted_matrix(g)
-        ct = c * t
+    kernels: list[np.ndarray] = [None] * len(times)
+    shared = []  # (index, c*t) of the times summed in one pass
+    for i, s in enumerate(times):
+        if c == 0.0 or s == 0:
+            kernels[i] = _unit_rows(n, rows)
+            continue
+        ct = c * s
         steps = max(1, math.ceil(ct / _MAX_POISSON_MEAN))
         if steps == 1:
-            K = _poisson_series(P, _unit_rows(n, rows), ct, eps)
-        else:
-            factor = _poisson_series(P, np.eye(n), ct / steps, eps / steps)
-            K = factor if rows is None else factor[rows]
-            for _ in range(steps - 1):
-                K = K @ factor
+            shared.append((i, ct))
+            continue
+        P = _latest_shifted_matrix(g)
+        (factor,) = _poisson_series(P, np.eye(n), [(ct / steps, eps / steps)])
+        K = factor if rows is None else factor[rows]
+        for _ in range(steps - 1):
+            K = K @ factor
+        kernels[i] = K
+    if shared:
+        P = _latest_shifted_matrix(g)
+        sums = _poisson_series(P, _unit_rows(n, rows), [(ct, eps) for _, ct in shared])
+        for (i, _), K in zip(shared, sums):
+            kernels[i] = K
+        del sums  # each sum is replaced by its symmetrized copy below
+    for i, K in enumerate(kernels):
         if rows is None:
-            K = 0.5 * (K + K.T)  # average of two nonnegative matrices stays nonnegative
-    K.setflags(write=False)
-    return K
+            # The average of two nonnegative matrices stays nonnegative, and
+            # the identity keeps its bits.
+            K = 0.5 * (K + K.T)
+        K.setflags(write=False)
+        kernels[i] = K
+    return kernels[0] if single else tuple(kernels)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
 from .errors import NoConvergence, PositivityFloor, UnreachableError
@@ -36,7 +36,8 @@ POSITIVITY_FLOOR = 1e-250
 #: Dyadic exponent must sit this close to an integer to count as stable.
 EXPONENT_TOL = 0.1
 
-#: Number of consecutive agreeing exponent estimates required.
+#: Number of consecutive agreeing exponent estimates required
+#: (:func:`estimate_pair` writes its window of three out in line).
 STABLE_ROUNDS = 3
 
 #: Acceptance band around the rounded geodesic count.
@@ -227,10 +228,7 @@ def check_schedule(t0: float, levels: int) -> None:
         raise ValueError(f"levels must be at least 2, got {levels}")
 
 
-def _round_half_up(v: float) -> int:
-    # Plain round() is round-half-even; half-up keeps e.g. a 0.5-scaled
-    # single-geodesic count from collapsing to zero.
-    return math.floor(v + 0.5)
+_LOG2 = math.log(2.0)
 
 
 def estimate_pair(
@@ -258,7 +256,13 @@ def estimate_pair(
     check_schedule(t0, levels)
     # Each time t0 * 0.5**j is made as it is sampled: the pass usually stops
     # a few levels in, and a list of every level grows with ``levels``.
+    # Rounding is half-up, math.floor(v + 0.5): plain round() is
+    # round-half-even, and half-up keeps e.g. a 0.5-scaled single-geodesic
+    # count from collapsing to zero.  This loop runs once per pair, so the
+    # rounding and the window of STABLE_ROUNDS estimates, e0, e1 and the
+    # latest e, are written out in line.
     trace: list[float] = []
+    e0 = e1 = None  # the two exponent estimates before the latest
     prev: float | None = None  # the latest live sample
     d_hat: int | None = None
     for j in range(levels + 1):
@@ -274,20 +278,26 @@ def estimate_pair(
             break  # deeper samples are below resolution; keep the current read
         if d_hat is None:
             if prev is not None:
-                trace.append(math.log(prev / p) / math.log(2.0))
-                if len(trace) >= STABLE_ROUNDS:
-                    window = trace[-STABLE_ROUNDS:]
-                    r = _round_half_up(window[0])
-                    if r >= 0 and all(
-                        _round_half_up(e) == r and abs(e - r) < EXPONENT_TOL
-                        for e in window
+                e = math.log(prev / p) / _LOG2
+                trace.append(e)
+                if e0 is not None:
+                    r = math.floor(e0 + 0.5)
+                    if (
+                        r >= 0
+                        and abs(e0 - r) < EXPONENT_TOL
+                        and math.floor(e1 + 0.5) == r
+                        and abs(e1 - r) < EXPONENT_TOL
+                        and math.floor(e + 0.5) == r
+                        and abs(e - r) < EXPONENT_TOL
                     ):
                         d_hat = r
+                        log_d_factorial = math.lgamma(d_hat + 1)
+                e0, e1 = e1, e
             prev = p
         if d_hat is not None:
             t_used = t
-            raw = math.exp(math.lgamma(d_hat + 1) + math.log(p) - d_hat * math.log(t))
-            n_hat = _round_half_up(raw)
+            raw = math.exp(log_d_factorial + math.log(p) - d_hat * math.log(t))
+            n_hat = math.floor(raw + 0.5)
             if abs(raw - n_hat) < COUNT_TOL:
                 break
 
@@ -309,10 +319,32 @@ def estimate_pair(
 # called and verification stays numpy-free.
 
 
-def _per_time_sampler(kernel_at: Callable[[float], Any]) -> Sampler:
-    """Sampler reading every entry at time t off one kernel ``kernel_at(t)``."""
-    kernel_at = functools.cache(kernel_at)
-    return lambda t, x, y: float(kernel_at(t)[x, y])
+def _kernel_sampler(
+    build: Callable[[Sequence[float]], Sequence[Any]], times: Sequence[float] = ()
+) -> Sampler:
+    """Sampler reading every entry at time t off the kernel ``build`` made for t.
+
+    ``build(ts)`` returns one kernel per time of ``ts``.  Kernels are cached
+    per t.  A time outside ``times`` is built alone.  ``times`` is a schedule
+    read from its start, like the dyadic times of :func:`estimate_pair`: a miss
+    at ``times[j]`` builds ``times[j : 2j + 2]`` in one call, so a reader of
+    levels ``0..J`` makes about ``log2(J)`` calls and holds at most
+    ``2(J + 1)`` kernels.
+    """
+    first: dict[float, int] = {}
+    for j, t in enumerate(times):
+        first.setdefault(t, j)
+    pending: dict[float, Any] = {}  # built in a block, not yet asked for
+
+    @functools.cache
+    def kernel_at(t: float) -> Any:
+        if t not in pending:
+            j = first.get(t)
+            block = [t] if j is None else times[j : 2 * j + 2]
+            pending.update(zip(block, build(block)))
+        return pending.pop(t)
+
+    return lambda t, x, y: kernel_at(t).item(x, y)  # a float, read in one step
 
 
 def spectral_sampler(g: Graph) -> Sampler:
@@ -321,18 +353,28 @@ def spectral_sampler(g: Graph) -> Sampler:
     from .spectral import eigendecompose, kirchhoff_matrix
 
     dec = eigendecompose(kirchhoff_matrix(g))
-    return _per_time_sampler(lambda t: kernel_spectral(dec, t))
+    return _kernel_sampler(lambda ts: [kernel_spectral(dec, t) for t in ts])
 
 
-def uniformization_sampler(g: Graph, eps: float = POSITIVITY_FLOOR) -> Sampler:
+def uniformization_sampler(
+    g: Graph, eps: float = POSITIVITY_FLOOR, times: Sequence[float] = ()
+) -> Sampler:
     """Cancellation-free sampler; kernels are cached per t.
 
     The default truncation is pushed down to the positivity floor so that a
     zero sample really means "no walk of any retained length connects the
     pair" — with a loose eps, short times would truncate the series before
     order d and report false zeros.
+
+    ``times`` is the schedule the caller reads from its start, such as
+    ``[t0 * 0.5**j for j in range(levels + 1)]`` for :func:`estimate_pair`.
+    Its kernels are summed in blocks of levels ``j .. 2j + 1``, each block in
+    one Poisson pass (see :func:`graphheat.kernels.kernel_uniformization`),
+    so the levels read cost about ``log2(levels)`` passes and at most twice
+    their number in held kernels.  Every kernel has the bits of a pass of
+    its own.
     """
     from .kernels import _check_eps, kernel_uniformization
 
     _check_eps(eps)
-    return _per_time_sampler(lambda t: kernel_uniformization(g, t, eps))
+    return _kernel_sampler(lambda ts: kernel_uniformization(g, ts, eps), tuple(times))

@@ -21,7 +21,6 @@ from graphheat.varadhan import (
     STABLE_ROUNDS,
     DistanceEstimate,
     Sampler,
-    _round_half_up,
     check_schedule,
 )
 
@@ -252,6 +251,61 @@ def horner(coeffs: Sequence, t):
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
+
+
+def poisson_series_one_time(P, B, ct: float, eps: float):
+    """Oracle for ``kernels._poisson_series``: the sum of one time, alone.
+
+    ``e^{-ct} sum_k (ct)^k / k! B P^k``, with the weight recurrence and the
+    geometric tail test of the engine, in a pass of its own.
+    """
+    w = math.exp(-ct)
+    S = w * B
+    M = B
+    k = 0
+    while True:
+        if k + 2.0 > ct:
+            w_next = w * ct / (k + 1.0)
+            if w_next / (1.0 - ct / (k + 2.0)) < eps:
+                break
+        k += 1
+        w *= ct / k
+        M = M @ P
+        S += w * M
+    return S
+
+
+def kernel_uniformization_one_time(g: Graph, t: float, eps: float, rows=None):
+    """Oracle for ``kernel_uniformization``: one time, in a Poisson pass of its own.
+
+    Splits a ``c*t`` above the engine's largest Poisson mean into equal
+    semigroup factors and symmetrizes a full kernel, as the engine does.
+    """
+    import numpy as np
+
+    from graphheat import kernels
+
+    n = g.n
+    c = g.max_weighted_degree()
+    if rows is not None:
+        rows = list(rows)
+    if c == 0.0 or t == 0:
+        return kernels._unit_rows(n, rows)
+    P = kernels._latest_shifted_matrix(g)
+    ct = c * t
+    steps = max(1, math.ceil(ct / kernels._MAX_POISSON_MEAN))
+    if steps == 1:
+        K = poisson_series_one_time(P, kernels._unit_rows(n, rows), ct, eps)
+    else:
+        factor = poisson_series_one_time(P, np.eye(n), ct / steps, eps / steps)
+        K = factor if rows is None else factor[rows]
+        for _ in range(steps - 1):
+            K = K @ factor
+    return K if rows is not None else 0.5 * (K + K.T)
+
+
+def _round_half_up(v: float) -> int:
+    return math.floor(v + 0.5)
 
 
 def estimate_pair_two_phase(

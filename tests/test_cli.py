@@ -112,9 +112,9 @@ def test_uniformization_kernel_pairs_sum_only_their_rows(capsys, monkeypatch):
     block_rows = []
     real = kernels._poisson_series
 
-    def recording(P, B, ct, eps):
+    def recording(P, B, terms):
         block_rows.append(B.shape[0])
-        return real(P, B, ct, eps)
+        return real(P, B, terms)
 
     monkeypatch.setattr(kernels, "_poisson_series", recording)
     code, out, _ = run_cli(
@@ -133,6 +133,55 @@ def test_uniformization_kernel_pairs_sum_only_their_rows(capsys, monkeypatch):
         t, x, y, p = line.split(",")
         want = full.get((t, x, y), full.get((t, y, x)))
         assert float(p) == pytest.approx(want, rel=0, abs=1e-12)
+
+
+_QUOTED_LABELS = 'a,b q"x\nq"x p\np a,b 3/2\n'
+
+
+@pytest.mark.parametrize("method", ["spectral", "uniformization"])
+def test_kernel_rows_are_what_csv_writer_prints(capsys, tmp_path, method):
+    import csv
+    import io
+
+    from graphheat import eigendecompose, kernel_spectral, kernel_uniformization, kirchhoff_matrix
+
+    p = tmp_path / "quoted.txt"
+    p.write_text(_QUOTED_LABELS, encoding="utf-8")
+    g = parse_edge_list(_QUOTED_LABELS)
+    times = ["0.5", "2.0"]
+    code, out, _ = run_cli(capsys, ["kernel", "--graph", str(p), "--method", method,
+                                    *(f"--t={t}" for t in times)])
+    assert code == 0
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["t", "x_label", "y_label", "p"])
+    for t in times:
+        if method == "spectral":
+            K = kernel_spectral(eigendecompose(kirchhoff_matrix(g)), float(t))
+        else:
+            K = kernel_uniformization(g, float(t))
+        for x in range(g.n):
+            for y in range(x, g.n):
+                writer.writerow([t, g.labels[x], g.labels[y], cli._fmt_float(K[x, y])])
+    assert '"a,b","q""x",' in out
+    assert out == want.getvalue()
+
+
+@pytest.mark.parametrize("pairs", [[], ["--pair", "7", "0", "--pair", "0", "7",
+                                        "--pair", "4", "4"]],
+                         ids=["all-pairs", "pairs"])
+def test_uniformization_kernel_times_print_in_request_order(capsys, tmp_path, pairs):
+    p = tmp_path / "grid3.txt"
+    p.write_text(corpus.edge_list_text(corpus.grid_graph(3, 3)), encoding="utf-8")
+    base = ["kernel", "--graph", str(p), *_UNIF, *pairs]
+    code, out, _ = run_cli(capsys, [*base, "--t", "1", "--t", "0.25", "--t", "1"])
+    assert code == 0
+    single = {}
+    for t in ("1", "0.25"):
+        _, one, _ = run_cli(capsys, [*base, "--t", t])
+        single[t] = one.split("\n", 1)[1]
+    header = "t,x_label,y_label,p\n"
+    assert out == header + single["1"] + single["0.25"] + single["1"]
 
 
 def test_output_file_matches_stdout(capsys, grid_file, tmp_path):
@@ -605,6 +654,100 @@ def test_estimate_respects_t0_and_levels(capsys, grid_file):
     fields = out.splitlines()[1].split(",")
     assert fields[2:4] == ["1", "1"]
     assert float(fields[4]) <= 0.05
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--levels", "1"], "error: levels must be at least 2, got 1\n"),
+        (["--pair", "a", "zz"], "error: unknown vertex label 'zz'\n"),
+    ],
+    ids=["levels", "label"],
+)
+def test_estimate_checks_its_input_before_decomposing(
+    capsys, monkeypatch, two_component_file, argv, err
+):
+    from graphheat import spectral
+
+    def refuse(*args):
+        raise AssertionError("decomposed before the input was checked")
+
+    monkeypatch.setattr(spectral, "eigendecompose", refuse)
+    code, out, got = run_cli(capsys, ["estimate", "--graph", two_component_file, *argv])
+    assert (code, out, got) == (2, "", err)
+
+
+def test_estimate_builds_dyadic_levels_in_doubling_blocks(capsys, monkeypatch, tmp_path):
+    from graphheat import kernels
+
+    g = corpus.grid_graph(10, 10)
+    p = tmp_path / "grid10.txt"
+    p.write_text(corpus.edge_list_text(g), encoding="utf-8")
+    levels = 40
+    schedule = [0.1 * 0.5**j for j in range(levels + 1)]  # t0 = 0.1: c = 4
+    passes, asked = [], set()
+    real_series, real_sampler = kernels._poisson_series, cli.uniformization_sampler
+
+    def counting_series(P, B, terms):
+        passes.append(len(terms))
+        return real_series(P, B, terms)
+
+    def recording_sampler(*args, **kwargs):
+        sampler = real_sampler(*args, **kwargs)
+
+        def sample(t, x, y):
+            asked.add(schedule.index(t))
+            return sampler(t, x, y)
+
+        return sample
+
+    monkeypatch.setattr(kernels, "_poisson_series", counting_series)
+    monkeypatch.setattr(cli, "uniformization_sampler", recording_sampler)
+    code, out, _ = run_cli(capsys, ["estimate", "--graph", str(p), *_UNIF,
+                                    "--levels", str(levels)])
+    assert code == 0 and len(out.splitlines()) == 1 + 100 * 99 // 2
+    deepest = max(asked)
+    assert asked == set(range(deepest + 1))
+    # blocks j .. 2j + 1: levels 0-1, 2-5, 6-13, ...
+    assert len(passes) <= math.log2(deepest + 2)
+    assert sum(passes) <= 2 * (deepest + 1)
+
+
+def test_estimate_schedule_stops_at_the_first_time_that_underflows(capsys, tmp_path):
+    # every time past about 1,080 levels is 0.0, so a huge --levels costs no
+    # more than that, and prints what a schedule just past it prints
+    p = tmp_path / "path.txt"
+    p.write_text("a b\nb c\nc d 1/2\n", encoding="utf-8")  # connected: no pair reads every level
+    base = ["estimate", "--graph", str(p), *_UNIF]
+    code, huge, _ = run_cli(capsys, [*base, "--levels", "1000000000"])
+    assert code == 0
+    assert huge == run_cli(capsys, [*base, "--levels", "2000"])[1]
+
+
+def test_estimate_uniformization_bytes_match_one_pass_per_time(capsys, tmp_path):
+    import csv
+    import functools
+    import io
+
+    text = corpus.edge_list_text(corpus.grid_graph(8, 8))
+    p = tmp_path / "grid8.txt"
+    p.write_text(text, encoding="utf-8")
+    g = parse_edge_list(text)  # the vertex order the command reads
+    _, out, _ = run_cli(capsys, ["estimate", "--graph", str(p), *_UNIF])
+
+    kernel_at = functools.cache(
+        lambda t: corpus.kernel_uniformization_one_time(g, t, varadhan.POSITIVITY_FLOOR)
+    )
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["x", "y", "d_hat", "N_hat", "t_used", "converged"])
+    for x in range(g.n):
+        for y in range(x + 1, g.n):
+            est = varadhan.estimate_pair(lambda t, u, v: kernel_at(t)[u, v], x, y, t0=0.1,
+                                         levels=16)
+            writer.writerow([g.labels[x], g.labels[y], est.d_hat, est.n_hat,
+                             repr(est.t_used), "true"])
+    assert out == want.getvalue()
 
 
 # --- paths -------------------------------------------------------------------

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import corpus
 import graphheat
@@ -277,6 +279,56 @@ def test_row_block_equals_rows_of_the_full_kernel(build, times):
             np.testing.assert_allclose(block, full[list(r)], rtol=0, atol=1e-12)
             if t == 0 or g.max_weighted_degree() == 0:
                 assert np.array_equal(block, np.eye(n)[list(r)])
+
+
+# Graphs of the shared-pass property: c = 11 on the star, so t = 30 and t = 60
+# split into semigroup factors there (c*t above 200), and on no other graph.
+_SHARED_PASS_GRAPHS = {
+    "weighted": lambda: corpus.random_weighted_graph(42, 12, 0.35),
+    "two-component": two_component_graph,
+    "star": lambda: corpus.star_graph(11),
+    "edgeless": lambda: Graph(5),
+}
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(
+    name=st.sampled_from(sorted(_SHARED_PASS_GRAPHS)),
+    times=st.lists(st.sampled_from((0.0, 0.004, 0.05, 0.3, 1.0, 2.5, 30.0, 60.0)),
+                   min_size=1, max_size=6),
+    eps=st.sampled_from((1e-12, 1e-250, 1e-3)),
+    rows=st.none() | st.lists(st.integers(0, 100), min_size=1, max_size=4),
+)
+@example(name="star", times=[30.0, 0.05, 0.0, 30.0, 1.0], eps=1e-12, rows=None)
+@example(name="star", times=[1.0, 60.0, 0.3, 0.3], eps=1e-250, rows=[3, 0, 3])
+@example(name="two-component", times=[2.5, 0.0, 0.004, 2.5], eps=1e-250, rows=None)
+@example(name="weighted", times=[0.3, 1.0, 0.05, 0.3], eps=1e-12, rows=[11, 0])
+@example(name="edgeless", times=[1.0, 0.0], eps=1e-12, rows=[4, 4])
+def test_shared_pass_has_the_bits_of_one_pass_per_time(name, times, eps, rows):
+    g = _SHARED_PASS_GRAPHS[name]()
+    if rows is not None:
+        rows = [r % g.n for r in rows]
+    kernels_ = kernel_uniformization(g, times, eps, rows)
+    assert isinstance(kernels_, tuple) and len(kernels_) == len(times)
+    for t, K in zip(times, kernels_):
+        want = corpus.kernel_uniformization_one_time(g, t, eps, rows)
+        assert np.array_equal(K, want)
+        assert not K.flags.writeable
+        assert np.array_equal(kernel_uniformization(g, t, eps, rows), want)
+
+
+def test_shared_pass_checks_each_time_in_turn():
+    # the error of the first bad time, with the eps check after its time check
+    g = corpus.path_graph(3)
+    with pytest.raises(ValueError, match="time must be nonnegative, got -1"):
+        kernel_uniformization(g, [0.5, -1.0, math.inf])
+    with pytest.raises(ValueError, match="time must be finite, got inf"):
+        kernel_uniformization(g, [math.inf, 0.5], eps=-1.0)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        kernel_uniformization(g, [0.5, -1.0], eps=-1.0)
+    with pytest.raises(ValueError, match="times t = 6000.0 exceeds"):
+        kernel_uniformization(g, [0.5, 6000.0, -1.0])
+    assert kernel_uniformization(g, []) == ()
 
 
 # --- accessors --------------------------------------------------------------

@@ -322,7 +322,8 @@ def test_sampler_builds_one_kernel_per_time(monkeypatch, engine):
     real = getattr(kernels, engine)
 
     def counting(*args):
-        builds.append(args[1])
+        t = args[1]  # one time, or the list of a sampler's one-time block
+        builds.extend(t if isinstance(t, list) else [t])
         return real(*args)
 
     monkeypatch.setattr(kernels, engine, counting)
