@@ -12,10 +12,13 @@ eigendecomposition and the kernel products run in BLAS/LAPACK, whose results
 can differ in the last bits between thread counts; ``estimate`` rows read
 thresholds off such values and can then change too.
 
-``kernel``, ``estimate``, ``series``, ``paths`` and ``verify`` stream their
-rows, per time and per source, so they hold O(n) rows at a time rather than
-one per pair.  Every input error is raised before the first byte is written,
-so exit status 2 still means empty stdout and an untouched ``--output`` file.
+Every subcommand yields its rows as whole CSV lines, each label quoted once
+as ``csv.writer`` quotes it.  ``kernel``, ``estimate``, ``series``, ``paths``
+and ``verify`` stream them, per time and per source, so they hold O(n) rows
+at a time rather than one per pair; ``verify --pair`` colours the graph once
+and walks each pair only to order ``d + 1``.  Every input error is raised
+before the first byte is written, so exit status 2 still means empty stdout
+and an untouched ``--output`` file.
 The exit status 1 of ``verify`` is known only once its last row is written.
 
 Only ``spectrum``, ``kernel`` and ``estimate`` load numpy; ``series``,
@@ -30,26 +33,25 @@ import csv
 import functools
 import io
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from .errors import (
     EdgeListError,
     GraphHeatError,
     NoConvergence,
     PositivityFloor,
-    UnreachableError,
 )
 from .graphs import Graph, bfs_profile, is_bipartite, parse_edge_list
 from .series import series_prefix
 from .varadhan import (
     POSITIVITY_FLOOR,
-    VaradhanReport,
+    _dyadic_times,
     _verify_pairs,
+    _verify_source,
     check_schedule,
     estimate_pair,
     spectral_sampler,
     uniformization_sampler,
-    verify_pair,
 )
 
 
@@ -148,27 +150,17 @@ def _csv_fields(labels: Iterable[str]) -> list[str]:
     return [line[:-1] for line in buf.getvalue().split("\n")[:-1]]
 
 
-def _write_csv(
-    output: str | None, header: list[str] | str, rows: Iterable[Sequence[str]] | Iterable[str]
-) -> None:
-    """Write the header, then each row as the iterable yields it.
-
-    A header given as one line of CSV text says that the rows come as CSV
-    text too, in blocks of whole lines, which are written as they are.
-    """
+def _write_csv(output: str | None, header: str, rows: Iterable[str]) -> None:
+    """Write the header line, then the rows, CSV text in blocks of whole
+    lines, as the iterable yields them."""
     to_stdout = output is None or output == "-"
     with (
         contextlib.nullcontext(sys.stdout)
         if to_stdout
         else open(output, "w", encoding="utf-8", newline="")
     ) as fh:
-        if isinstance(header, str):
-            fh.write(header)
-            fh.writelines(rows)
-        else:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        fh.write(header)
+        fh.writelines(rows)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -195,8 +187,7 @@ def _cmd_kernel(g: Graph, args: argparse.Namespace):
         kernels = [kernel_spectral(dec, t) for t in args.t_values]
     else:
         kernels = kernel_uniformization(g, args.t_values, eps, rows=sources)  # one pass
-    # Rows are joined here, a block per source, with each label quoted once
-    # as csv.writer quotes it; times and repr'd floats never need quoting.
+    # A block of rows per source; times and repr'd floats need no quoting.
     labels = _csv_fields(g.labels)
 
     def rows():
@@ -222,49 +213,26 @@ def _cmd_spectrum(g: Graph, args: argparse.Namespace):
     from .spectral import eigendecompose, kirchhoff_matrix
 
     dec = eigendecompose(kirchhoff_matrix(g))
-    rows = [
-        [str(k + 1), _fmt_float(lam)] for k, lam in enumerate(dec.lambdas)
-    ]
-    return ["k", "lambda"], rows, lambda: 0
+    rows = [f"{k},{_fmt_float(lam)}\n" for k, lam in enumerate(dec.lambdas, 1)]
+    return "k,lambda\n", rows, lambda: 0
 
 
 def _cmd_series(g: Graph, args: argparse.Namespace):
     if args.max_order < 0:
         raise ValueError(f"--max-order must be nonnegative, got {args.max_order}")
     pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
+    labels = _csv_fields(g.labels)
 
     def rows():
         for x, y in pairs:
+            head = f"{labels[x]},{labels[y]},"
             # Consecutive pairs from one source share one walk (see series_prefix).
-            for k, c in enumerate(series_prefix(g, x, y, args.max_order)):
-                yield [g.labels[x], g.labels[y], str(k), str(c.numerator), str(c.denominator)]
+            yield "".join([
+                f"{head}{k},{c.numerator},{c.denominator}\n"
+                for k, c in enumerate(series_prefix(g, x, y, args.max_order))
+            ])
 
-    return ["x_label", "y_label", "k", "numerator", "denominator"], rows(), lambda: 0
-
-
-_VERIFY_HEADER = [
-    "x", "y", "d", "N",
-    "leading_num", "leading_den", "next_num", "next_den",
-    "vanish_ok", "leading_ok", "bipartite_sign",
-]
-
-
-def _verify_row(report: VaradhanReport | tuple[str, str]) -> list[str]:
-    if isinstance(report, tuple):  # the labels of a pair split across components
-        return [*report, "unreachable", "", "", "", "", "", "na", "na", "na"]
-    return [
-        report.x,
-        report.y,
-        str(report.d),
-        str(report.n_geodesics),
-        str(report.leading.numerator),
-        str(report.leading.denominator),
-        str(report.next_coeff.numerator),
-        str(report.next_coeff.denominator),
-        report.vanish_ok,
-        report.leading_ok,
-        report.bipartite_sign,
-    ]
+    return "x_label,y_label,k,numerator,denominator\n", rows(), lambda: 0
 
 
 def _cmd_verify(g: Graph, args: argparse.Namespace):
@@ -272,25 +240,30 @@ def _cmd_verify(g: Graph, args: argparse.Namespace):
         results = _verify_pairs(g)
     else:
         pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
-
-        def explicit():
-            for x, y in pairs:
-                try:
-                    yield verify_pair(g, x, y)
-                except UnreachableError:
-                    yield g.labels[x], g.labels[y]
-
-        results = explicit()
+        colors = is_bipartite(g)
+        results = (r for x, y in pairs for r in _verify_source(g, x, (y,), colors))
+    # Reports name their pair by label.
+    quoted = dict(zip(g.labels, _csv_fields(g.labels)))
     failed = False
 
     def rows():
         nonlocal failed
         for r in results:
-            failed = failed or (isinstance(r, VaradhanReport) and not r.passed)
-            yield _verify_row(r)
+            if isinstance(r, tuple):  # the labels of a pair split across components
+                yield f"{quoted[r[0]]},{quoted[r[1]]},unreachable,,,,,,na,na,na\n"
+                continue
+            failed = failed or not r.passed
+            lead, after = r.leading, r.next_coeff
+            yield (
+                f"{quoted[r.x]},{quoted[r.y]},{r.d},{r.n_geodesics},"
+                f"{lead.numerator},{lead.denominator},{after.numerator},{after.denominator},"
+                f"{r.vanish_ok},{r.leading_ok},{r.bipartite_sign}\n"
+            )
 
+    header = "x,y,d,N,leading_num,leading_den,next_num,next_den,"
+    header += "vanish_ok,leading_ok,bipartite_sign\n"
     # Exit 1 if any verdict failed, which is known once the last row is written.
-    return _VERIFY_HEADER, rows(), lambda: 1 if failed else 0
+    return header, rows(), lambda: 1 if failed else 0
 
 
 def _cmd_estimate(g: Graph, args: argparse.Namespace):
@@ -319,10 +292,8 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
         # Every sample time is at most t0, so this is the engine's c*t check
         # of every sample, made before the first row.
         _check_ct(g.max_weighted_degree(), t0)
-        # The times estimate_pair reads, with its expression.  0.5**j is 0.0
-        # past j = 1074, so a deeper time is 0.0 too and adds nothing.
-        times = [t0 * 0.5**j for j in range(min(args.levels, 1075) + 1)]
-        sampler = uniformization_sampler(g, eps, times)
+        # The times estimate_pair reads.
+        sampler = uniformization_sampler(g, eps, list(_dyadic_times(t0, args.levels)))
 
     labels = _csv_fields(g.labels)
 
@@ -349,24 +320,25 @@ def _cmd_paths(g: Graph, args: argparse.Namespace):
     profile_of = functools.lru_cache(maxsize=None if args.pair else 1)(
         lambda x: bfs_profile(g, x)
     )
+    labels = _csv_fields(g.labels)
 
     def rows():
         for x, y in pairs:
             profile = profile_of(x)
             d = profile.dist[y]
-            count = profile.geodesic_count[y]
-            yield [g.labels[x], g.labels[y], "unreachable" if d is None else str(d), str(count)]
+            d = "unreachable" if d is None else d
+            yield f"{labels[x]},{labels[y]},{d},{profile.geodesic_count[y]}\n"
 
-    return ["x", "y", "d", "count"], rows(), lambda: 0
+    return "x,y,d,count\n", rows(), lambda: 0
 
 
 def _cmd_bipartite(g: Graph, args: argparse.Namespace):
     colors = is_bipartite(g)
     if colors is None:
-        rows = [["false", "", ""]]
+        rows = ["false,,\n"]
     else:
-        rows = [["true", g.labels[v], str(colors[v])] for v in range(g.n)]
-    return ["bipartite", "x", "class"], rows, lambda: 0
+        rows = [f"true,{lx},{c}\n" for lx, c in zip(_csv_fields(g.labels), colors)]
+    return "bipartite,x,class\n", rows, lambda: 0
 
 
 _DISPATCH = {

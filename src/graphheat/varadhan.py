@@ -131,50 +131,58 @@ def _make_report(
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _latest_colouring(g: Graph) -> tuple[int, ...] | None:
-    return is_bipartite(g)
+def _verify_source(
+    g: Graph, x: int, targets: Sequence[int], colors: tuple[int, ...] | None
+) -> Iterator[VaradhanReport | tuple[str, str]]:
+    """For each target y in turn, the report of ``(x, y)``, or the labels of
+    the pair when y lies in another component.
+
+    One BFS profile from x and one exact walk, as deep as the farthest
+    reached target needs, serve every target.
+    """
+    profile = bfs_profile(g, x)
+    dist = profile.dist
+    depth = max([dist[y] for y in targets if dist[y] is not None], default=-1) + 1
+    us, dens = walk_vectors(g, x, depth)
+    for y in targets:
+        if dist[y] is None:
+            yield g.labels[x], g.labels[y]
+        else:
+            yield _make_report(g, x, y, profile, us, dens, colors)
 
 
 def verify_pair(g: Graph, x: int, y: int) -> VaradhanReport:
     """Check the short-time expansion facts for one pair of vertices.
 
-    The 2-colouring of the latest graph is kept, so consecutive calls on one
-    graph colour it once.  Raises :class:`UnreachableError` when the pair
-    spans two components.
+    Each call colours the graph once and walks from x to order ``d + 1``.
+    Raises :class:`UnreachableError` when the pair spans two components.
     """
-    profile = bfs_profile(g, x)
-    d = profile.dist[y]
-    if d is None:
+    report = next(_verify_source(g, x, (y,), is_bipartite(g)))
+    if isinstance(report, tuple):
         raise UnreachableError(
-            f"vertices {g.labels[x]!r} and {g.labels[y]!r} are in different components"
+            f"vertices {report[0]!r} and {report[1]!r} are in different components"
         )
-    us, dens = walk_vectors(g, x, d + 1)
-    return _make_report(g, x, y, profile, us, dens, _latest_colouring(g))
+    return report
 
 
 def _verify_pairs(g: Graph) -> Iterator[VaradhanReport | tuple[str, str]]:
     """The report of every connected pair ``x < y``, source by source, then the
     labels of every cross-component pair; both in x-major, y-ascending order.
 
-    One BFS profile and one exact walk per source vertex are shared by all of
-    its targets, so a full verification costs n walks rather than one per
-    pair, and holds one source's walk at a time.
+    Each source's targets share one BFS profile and one exact walk, so a
+    full verification costs n walks rather than one per pair, and holds one
+    source's walk at a time.
     """
     colors = is_bipartite(g)
-    # The lowest vertex of each vertex's component: a vertex that no lower
-    # vertex reaches is the lowest of its own, and its profile names the rest.
+    # The lowest vertex of each vertex's component.  The lowest vertex is the
+    # first source to reach the others, and each later source passes it on.
     component = list(range(g.n))
     for x in range(g.n - 1):
-        profile = bfs_profile(g, x)
-        reached = [y for y in range(x + 1, g.n) if profile.dist[y] is not None]
-        if component[x] == x:
-            for y in reached:
-                component[y] = x
-        depth = max(profile.dist[y] for y in reached) + 1 if reached else 0
-        us, dens = walk_vectors(g, x, depth)
-        for y in reached:
-            yield _make_report(g, x, y, profile, us, dens, colors)
+        targets = range(x + 1, g.n)
+        for y, result in zip(targets, _verify_source(g, x, targets, colors)):
+            if not isinstance(result, tuple):
+                component[y] = component[x]
+                yield result
     for x in range(g.n - 1):
         cx = component[x]
         for y in range(x + 1, g.n):
@@ -228,6 +236,17 @@ def check_schedule(t0: float, levels: int) -> None:
         raise ValueError(f"levels must be at least 2, got {levels}")
 
 
+def _dyadic_times(t0: float, levels: int) -> Iterator[float]:
+    """The sample times ``t0 * 0.5**j`` for ``j = 0..levels``, made as they
+    are read, up to the first that underflows to 0.0: no kernel is read there.
+    """
+    for j in range(levels + 1):
+        t = t0 * 0.5**j
+        if t == 0.0:
+            return
+        yield t
+
+
 _LOG2 = math.log(2.0)
 
 
@@ -236,7 +255,8 @@ def estimate_pair(
 ) -> DistanceEstimate:
     """Recover graph distance and geodesic count from short-time samples.
 
-    One pass samples ``p(t)`` at ``t = t0 * 2^-j`` for ``j = 0..levels``.
+    One pass samples ``p(t)`` at ``t = t0 * 2^-j`` for ``j = 0..levels``,
+    stopping before the first time that is 0.0.
     Until the distance is fixed, each consecutive pair of live samples gives
     a dyadic exponent estimate ``log2(p_j / p_{j+1})``; once
     :data:`STABLE_ROUNDS` consecutive estimates round to the same nonnegative
@@ -254,8 +274,6 @@ def estimate_pair(
     floor after having been live.
     """
     check_schedule(t0, levels)
-    # Each time t0 * 0.5**j is made as it is sampled: the pass usually stops
-    # a few levels in, and a list of every level grows with ``levels``.
     # Rounding is half-up, math.floor(v + 0.5): plain round() is
     # round-half-even, and half-up keeps e.g. a 0.5-scaled single-geodesic
     # count from collapsing to zero.  This loop runs once per pair, so the
@@ -265,8 +283,7 @@ def estimate_pair(
     e0 = e1 = None  # the two exponent estimates before the latest
     prev: float | None = None  # the latest live sample
     d_hat: int | None = None
-    for j in range(levels + 1):
-        t = t0 * 0.5**j
+    for t in _dyadic_times(t0, levels):
         p = float(sampler(t, x, y))
         if not p > POSITIVITY_FLOOR:  # dead, NaN included
             if prev is None:
@@ -366,8 +383,8 @@ def uniformization_sampler(
     pair" — with a loose eps, short times would truncate the series before
     order d and report false zeros.
 
-    ``times`` is the schedule the caller reads from its start, such as
-    ``[t0 * 0.5**j for j in range(levels + 1)]`` for :func:`estimate_pair`.
+    ``times`` is the schedule the caller reads from its start, such as the
+    dyadic times of :func:`estimate_pair`.
     Its kernels are summed in blocks of levels ``j .. 2j + 1``, each block in
     one Poisson pass (see :func:`graphheat.kernels.kernel_uniformization`),
     so the levels read cost about ``log2(levels)`` passes and at most twice

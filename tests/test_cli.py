@@ -167,6 +167,91 @@ def test_kernel_rows_are_what_csv_writer_prints(capsys, tmp_path, method):
     assert out == want.getvalue()
 
 
+# A path of quoted labels and a separate edge: bipartite, two components.
+_QUOTED_SPLIT = 'a,b q"x\nq"x p\nr s 1/2\n'
+_QUOTED_PAIRS = [('q"x', "a,b"), ("p", "p"), ("a,b", "p")]
+
+
+@pytest.mark.parametrize("text", [_QUOTED_LABELS, _QUOTED_SPLIT], ids=["triangle", "split"])
+@pytest.mark.parametrize("subcommand", ["spectrum", "series", "verify", "verify-pairs",
+                                        "paths", "bipartite"])
+def test_rows_quote_like_csv_writer(capsys, tmp_path, text, subcommand):
+    import csv
+    import io
+
+    from graphheat import (UnreachableError, is_bipartite, series_prefix, verify_graph,
+                           verify_pair)
+
+    p = tmp_path / "quoted.txt"
+    p.write_text(text, encoding="utf-8")
+    g = parse_edge_list(text)
+    split = text == _QUOTED_SPLIT
+    argv = [subcommand.split("-")[0], "--graph", str(p)]
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+
+    def verify_row(r):
+        writer.writerow([r.x, r.y, r.d, r.n_geodesics, r.leading.numerator,
+                         r.leading.denominator, r.next_coeff.numerator,
+                         r.next_coeff.denominator, r.vanish_ok, r.leading_ok, r.bipartite_sign])
+
+    def unreachable_row(x, y):
+        writer.writerow([x, y, "unreachable", "", "", "", "", "", "na", "na", "na"])
+
+    if subcommand == "spectrum":
+        pytest.importorskip("numpy")
+        from graphheat import eigendecompose, kirchhoff_matrix
+
+        writer.writerow(["k", "lambda"])
+        for k, lam in enumerate(eigendecompose(kirchhoff_matrix(g)).lambdas):
+            writer.writerow([k + 1, cli._fmt_float(lam)])
+    elif subcommand == "series":
+        writer.writerow(["x_label", "y_label", "k", "numerator", "denominator"])
+        for x in range(g.n):
+            for y in range(x, g.n):
+                for k, c in enumerate(series_prefix(g, x, y, 6)):
+                    writer.writerow([g.labels[x], g.labels[y], k, c.numerator, c.denominator])
+    elif subcommand.startswith("verify"):
+        writer.writerow(["x", "y", "d", "N", "leading_num", "leading_den", "next_num",
+                         "next_den", "vanish_ok", "leading_ok", "bipartite_sign"])
+        if subcommand == "verify":
+            summary = verify_graph(g)
+            for r in summary.reports:
+                verify_row(r)
+            for pair in summary.skipped:
+                unreachable_row(*pair)
+            assert bool(summary.skipped) == split
+        else:
+            pairs = _QUOTED_PAIRS + [("a,b", "r")] * split  # a cross-component row
+            for x, y in pairs:
+                argv += ["--pair", x, y]
+                try:
+                    verify_row(verify_pair(g, g.index_of(x), g.index_of(y)))
+                except UnreachableError:
+                    unreachable_row(x, y)
+    elif subcommand == "paths":
+        writer.writerow(["x", "y", "d", "count"])
+        for x in range(g.n):
+            profile = bfs_profile(g, x)
+            for y in range(x + 1, g.n):
+                d = profile.dist[y]
+                writer.writerow([g.labels[x], g.labels[y], "unreachable" if d is None else d,
+                                 profile.geodesic_count[y]])
+    else:
+        writer.writerow(["bipartite", "x", "class"])
+        colors = is_bipartite(g)
+        assert (colors is not None) == split
+        if colors is None:
+            writer.writerow(["false", "", ""])
+        for v, c in enumerate(colors or ()):
+            writer.writerow(["true", g.labels[v], c])
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    if subcommand != "spectrum" and (split or subcommand != "bipartite"):
+        assert '"a,b"' in out and '"q""x"' in out
+    assert out == want.getvalue()
+
+
 @pytest.mark.parametrize("pairs", [[], ["--pair", "7", "0", "--pair", "0", "7",
                                         "--pair", "4", "4"]],
                          ids=["all-pairs", "pairs"])
@@ -554,34 +639,35 @@ def test_verify_rows_keep_the_pairwise_order(capsys, tmp_path):
     ]
 
 
-def test_verify_pairs_colour_the_graph_once(capsys, grid_file, monkeypatch):
-    calls = []
-    real = cli.is_bipartite
+def test_verify_pairs_colour_the_graph_once(capsys, grid_file, two_component_file, monkeypatch):
+    # one colouring per call, with or without --pair; each --pair walks from
+    # its source to order d + 1 only, and a cross-component one takes no step
+    colourings, walks = [], []
+    real_colouring, real_walk = varadhan.is_bipartite, varadhan.walk_vectors
 
     def counting(g):
-        calls.append(g)
-        return real(g)
+        colourings.append(g)
+        return real_colouring(g)
 
-    monkeypatch.setattr(cli, "is_bipartite", counting)
-    monkeypatch.setattr(varadhan, "is_bipartite", counting)
-    # each explicit pair goes through the public verify_pair
-    pairs = []
-    real_pair = varadhan.verify_pair
-    assert cli.verify_pair is real_pair
+    def recording(g, x, depth):
+        walks.append((g.labels[x], depth))
+        return real_walk(g, x, depth)
 
-    def counting_pair(g, x, y):
-        pairs.append((x, y))
-        return real_pair(g, x, y)
-
-    monkeypatch.setattr(cli, "verify_pair", counting_pair)
-    argv = ["verify", "--graph", grid_file]
-    for pair in (("a0", "b2"), ("a1", "b0"), ("b2", "b2")):
-        argv += ["--pair", *pair]
-    code, out, _ = run_cli(capsys, argv)
-    assert code == 0
-    assert len(out.splitlines()) == 4
-    assert len(calls) == 1
-    assert len(pairs) == 3
+    for module in (cli, varadhan):
+        monkeypatch.setattr(module, "is_bipartite", counting)
+    monkeypatch.setattr(varadhan, "walk_vectors", recording)
+    code, out, _ = run_cli(capsys, ["verify", "--graph", grid_file])
+    assert (code, len(out.splitlines()), len(colourings)) == (0, 16, 1)
+    for graph, pairs in ((grid_file, [("a0", "b2", 3), ("a1", "b0", 2), ("b2", "b2", 0)]),
+                         (two_component_file, [("a", "c", 2), ("a", "e", None)])):
+        colourings.clear()
+        walks.clear()
+        argv = ["verify", "--graph", graph]
+        for x, y, _ in pairs:
+            argv += ["--pair", x, y]
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, len(out.splitlines()), len(colourings)) == (0, 1 + len(pairs), 1)
+        assert walks == [(x, 0 if d is None else d + 1) for x, y, d in pairs]
 
 
 def test_verify_weighted_rational_count(capsys, tmp_path):
@@ -642,6 +728,20 @@ def test_estimate_failure_row_stays_blank(capsys, two_component_file):
     assert row[:2] == ["a", "d"]
     assert row[5] == "false"
     assert row[2] in ("", "unreachable")
+
+
+@pytest.mark.parametrize("method", ["spectral", "uniformization"])
+def test_estimate_dead_pair_stops_at_the_first_time_that_underflows(
+    capsys, two_component_file, method
+):
+    # every sample across components is dead: the pass ends at the last
+    # positive time t0 * 0.5**j (t0 = 0.1 here), however deep --levels goes
+    last = min(t for t in (0.1 * 0.5**j for j in range(1100)) if t > 0.0)
+    base = ["estimate", "--graph", two_component_file, "--method", method, "--pair", "a", "d"]
+    for levels in ("1100", "1000000000"):
+        code, out, _ = run_cli(capsys, [*base, "--levels", levels])
+        assert code == 0
+        assert out.splitlines()[1] == f"a,d,unreachable,,{last!r},false"
 
 
 def test_estimate_respects_t0_and_levels(capsys, grid_file):

@@ -281,6 +281,21 @@ def test_estimate_makes_only_the_sample_times_it_uses():
     assert peak < 2**20
 
 
+def test_estimate_dead_samples_stop_at_the_first_time_that_underflows():
+    # every sample is dead: the pass samples each positive time t0 * 0.5**j
+    # once and reports the last, however many levels are asked for
+    calls = []
+
+    def sampler(t, x, y):
+        calls.append(t)
+        return 0.0
+
+    est = estimate_pair(sampler, 0, 1, t0=0.1, levels=10**9)
+    assert est.unreachable and est.t_used == 5e-324
+    assert calls == [0.1 * 0.5**j for j in range(len(calls))]
+    assert calls[-1] == 5e-324 and len(calls) < 1100
+
+
 def test_estimate_argument_validation():
     sampler = lambda t, x, y: t
     with pytest.raises(ValueError):
