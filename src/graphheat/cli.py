@@ -241,21 +241,21 @@ def _cmd_verify(g: Graph, args: argparse.Namespace):
     else:
         pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
         colors = is_bipartite(g)
-        results = (r for x, y in pairs for r in _verify_source(g, x, (y,), colors))
-    # Reports name their pair by label.
-    quoted = dict(zip(g.labels, _csv_fields(g.labels)))
+        results = ((x, y, r) for x, y in pairs for r in _verify_source(g, x, (y,), colors))
+    labels = _csv_fields(g.labels)
     failed = False
 
     def rows():
         nonlocal failed
-        for r in results:
-            if isinstance(r, tuple):  # the labels of a pair split across components
-                yield f"{quoted[r[0]]},{quoted[r[1]]},unreachable,,,,,,na,na,na\n"
+        for x, y, r in results:
+            head = f"{labels[x]},{labels[y]},"
+            if r is None:  # a pair split across components
+                yield f"{head}unreachable,,,,,,na,na,na\n"
                 continue
             failed = failed or not r.passed
             lead, after = r.leading, r.next_coeff
             yield (
-                f"{quoted[r.x]},{quoted[r.y]},{r.d},{r.n_geodesics},"
+                f"{head}{r.d},{r.n_geodesics},"
                 f"{lead.numerator},{lead.denominator},{after.numerator},{after.denominator},"
                 f"{r.vanish_ok},{r.leading_ok},{r.bipartite_sign}\n"
             )

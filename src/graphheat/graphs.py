@@ -4,12 +4,15 @@ Vertices are dense integer indices ``0 .. n-1``.  External names live in
 ``Graph.labels`` (first-appearance order when parsed from an edge list).
 All combinatorial quantities here are exact: counts are Python integers,
 weights are :class:`fractions.Fraction`.
+
+Result records, :class:`DistanceProfile` here, are named tuples: read by
+field name, index or unpacking, and never assigned to.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import deque, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -20,58 +23,6 @@ from .errors import (
     UnknownVertexError,
     WeightError,
 )
-
-# Bypasses Record.__setattr__, which refuses every assignment after __init__.
-_set_field = object.__setattr__
-
-
-class Record:
-    """Base of the immutable result records.
-
-    A subclass names its fields in ``__slots__``; they are set once, by
-    position or keyword, and compared, hashed and printed in that order.
-    Assigning or deleting a field afterwards raises :class:`AttributeError`.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        fields = self.__slots__
-        if kwargs:
-            try:
-                args += tuple([kwargs.pop(name) for name in fields[len(args):]])
-            except KeyError as exc:
-                raise TypeError(f"{type(self).__name__} missing field {exc}") from None
-        if kwargs or len(args) != len(fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-        for name, value in zip(fields, args):
-            _set_field(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: the default would set each
-        # slot through __setattr__, which refuses
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a record")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of a record")
 
 
 class Graph:
@@ -296,7 +247,7 @@ def _is_float_representable(q: Fraction) -> bool:
         return False
 
 
-class DistanceProfile(Record):
+class DistanceProfile(namedtuple("DistanceProfile", "dist geodesic_count geodesic_weight")):
     """Single-source BFS summary.
 
     ``dist[v]`` is the hop distance from the source (``None`` if v is in a
@@ -306,7 +257,7 @@ class DistanceProfile(Record):
     Unreachable vertices get count 0 and weight 0.
     """
 
-    __slots__ = ("dist", "geodesic_count", "geodesic_weight")
+    __slots__ = ()
     dist: tuple[int | None, ...]
     geodesic_count: tuple[int, ...]
     geodesic_weight: tuple[int | Fraction, ...]

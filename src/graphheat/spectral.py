@@ -8,15 +8,17 @@ at the reporting boundary.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
-from .graphs import Graph, Record
+from .graphs import Graph
 
 
-class KirchhoffMatrix(Record):
+class KirchhoffMatrix(namedtuple("KirchhoffMatrix", "dense")):
     """Dense ``A - D`` as a read-only float64 array, used by the numeric engines."""
 
-    __slots__ = ("dense",)
+    __slots__ = ()
     dense: np.ndarray
 
 
@@ -33,7 +35,7 @@ def kirchhoff_matrix(g: Graph) -> KirchhoffMatrix:
     return KirchhoffMatrix(dense)
 
 
-class SpectralDecomposition(Record):
+class SpectralDecomposition(namedtuple("SpectralDecomposition", "mu V")):
     """Eigenpairs of a Kirchhoff matrix.
 
     ``mu`` is sorted descending, so ``mu[0]`` is the (near-)zero eigenvalue
@@ -42,7 +44,7 @@ class SpectralDecomposition(Record):
     products of two entries of one column, which no sign flip changes.
     """
 
-    __slots__ = ("mu", "V")
+    __slots__ = ()
     mu: np.ndarray
     V: np.ndarray
 

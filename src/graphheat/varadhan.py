@@ -5,18 +5,18 @@ Taylor prefix must vanish below the graph distance, lead with
 ``(geodesic weight)/d!``, and — on bipartite graphs — continue with a strictly
 negative next coefficient.  Backward: given only a kernel sampler, the
 distance and geodesic count can be read off short-time samples by dyadic
-refinement.
+refinement.  Each pair's report or estimate is a named tuple.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import namedtuple
 from collections.abc import Callable, Iterator, Sequence
 from fractions import Fraction
 
 from .errors import NoConvergence, PositivityFloor, UnreachableError
-from .graphs import DistanceProfile, Graph, Record, bfs_profile, is_bipartite
+from .graphs import DistanceProfile, Graph, bfs_profile, is_bipartite
 from .series import walk_vectors
 
 # The annotations are never evaluated, so ``typing`` loads only for a type
@@ -44,7 +44,12 @@ STABLE_ROUNDS = 3
 COUNT_TOL = 0.25
 
 
-class VaradhanReport(Record):
+class VaradhanReport(
+    namedtuple(
+        "VaradhanReport",
+        "x y d n_geodesics leading next_coeff vanish_ok leading_ok bipartite_sign",
+    )
+):
     """Verification record for one vertex pair.
 
     ``n_geodesics`` is the exact geodesic count (or the geodesic weight — sum
@@ -57,10 +62,7 @@ class VaradhanReport(Record):
     diagonal).
     """
 
-    __slots__ = (
-        "x", "y", "d", "n_geodesics", "leading", "next_coeff",
-        "vanish_ok", "leading_ok", "bipartite_sign",
-    )
+    __slots__ = ()
     x: str
     y: str
     d: int
@@ -76,10 +78,10 @@ class VaradhanReport(Record):
         return "fail" not in (self.vanish_ok, self.leading_ok, self.bipartite_sign)
 
 
-class VerificationSummary(Record):
+class VerificationSummary(namedtuple("VerificationSummary", "reports skipped")):
     """All pair reports for a graph, plus the cross-component pairs skipped."""
 
-    __slots__ = ("reports", "skipped")
+    __slots__ = ()
     reports: tuple[VaradhanReport, ...]
     skipped: tuple[tuple[str, str], ...]
 
@@ -133,9 +135,9 @@ def _make_report(
 
 def _verify_source(
     g: Graph, x: int, targets: Sequence[int], colors: tuple[int, ...] | None
-) -> Iterator[VaradhanReport | tuple[str, str]]:
-    """For each target y in turn, the report of ``(x, y)``, or the labels of
-    the pair when y lies in another component.
+) -> Iterator[VaradhanReport | None]:
+    """For each target y in turn, the report of ``(x, y)``, or None when y
+    lies in another component.
 
     One BFS profile from x and one exact walk, as deep as the farthest
     reached target needs, serve every target.
@@ -145,10 +147,7 @@ def _verify_source(
     depth = max([dist[y] for y in targets if dist[y] is not None], default=-1) + 1
     us, dens = walk_vectors(g, x, depth)
     for y in targets:
-        if dist[y] is None:
-            yield g.labels[x], g.labels[y]
-        else:
-            yield _make_report(g, x, y, profile, us, dens, colors)
+        yield None if dist[y] is None else _make_report(g, x, y, profile, us, dens, colors)
 
 
 def verify_pair(g: Graph, x: int, y: int) -> VaradhanReport:
@@ -158,16 +157,17 @@ def verify_pair(g: Graph, x: int, y: int) -> VaradhanReport:
     Raises :class:`UnreachableError` when the pair spans two components.
     """
     report = next(_verify_source(g, x, (y,), is_bipartite(g)))
-    if isinstance(report, tuple):
+    if report is None:
         raise UnreachableError(
-            f"vertices {report[0]!r} and {report[1]!r} are in different components"
+            f"vertices {g.labels[x]!r} and {g.labels[y]!r} are in different components"
         )
     return report
 
 
-def _verify_pairs(g: Graph) -> Iterator[VaradhanReport | tuple[str, str]]:
-    """The report of every connected pair ``x < y``, source by source, then the
-    labels of every cross-component pair; both in x-major, y-ascending order.
+def _verify_pairs(g: Graph) -> Iterator[tuple[int, int, VaradhanReport | None]]:
+    """``(x, y, report)`` for every connected pair ``x < y``, source by source,
+    then ``(x, y, None)`` for every cross-component pair; both in x-major,
+    y-ascending order.
 
     Each source's targets share one BFS profile and one exact walk, so a
     full verification costs n walks rather than one per pair, and holds one
@@ -179,15 +179,15 @@ def _verify_pairs(g: Graph) -> Iterator[VaradhanReport | tuple[str, str]]:
     component = list(range(g.n))
     for x in range(g.n - 1):
         targets = range(x + 1, g.n)
-        for y, result in zip(targets, _verify_source(g, x, targets, colors)):
-            if not isinstance(result, tuple):
+        for y, report in zip(targets, _verify_source(g, x, targets, colors)):
+            if report is not None:
                 component[y] = component[x]
-                yield result
+                yield x, y, report
     for x in range(g.n - 1):
         cx = component[x]
         for y in range(x + 1, g.n):
             if component[y] != cx:
-                yield g.labels[x], g.labels[y]
+                yield x, y, None
 
 
 def verify_graph(g: Graph) -> VerificationSummary:
@@ -198,15 +198,18 @@ def verify_graph(g: Graph) -> VerificationSummary:
     """
     reports: list[VaradhanReport] = []
     skipped: list[tuple[str, str]] = []
-    for result in _verify_pairs(g):
-        (skipped if isinstance(result, tuple) else reports).append(result)
+    for x, y, report in _verify_pairs(g):
+        if report is None:
+            skipped.append((g.labels[x], g.labels[y]))
+        else:
+            reports.append(report)
     return VerificationSummary(tuple(reports), tuple(skipped))
 
 
 # --- distance/count recovery from kernel samples ---------------------------
 
 
-class DistanceEstimate(Record):
+class DistanceEstimate(namedtuple("DistanceEstimate", "d_hat n_hat t_used exponent_trace")):
     """Result of :func:`estimate_pair`.
 
     ``d_hat is None`` means every sample sat at or below the positivity
@@ -215,7 +218,7 @@ class DistanceEstimate(Record):
     consecutive pair of live samples until the distance is fixed.
     """
 
-    __slots__ = ("d_hat", "n_hat", "t_used", "exponent_trace")
+    __slots__ = ()
     d_hat: int | None
     n_hat: int | None
     t_used: float
@@ -351,17 +354,16 @@ def _kernel_sampler(
     first: dict[float, int] = {}
     for j, t in enumerate(times):
         first.setdefault(t, j)
-    pending: dict[float, Any] = {}  # built in a block, not yet asked for
+    kernels: dict[float, Any] = {}
 
-    @functools.cache
-    def kernel_at(t: float) -> Any:
-        if t not in pending:
+    def sample(t: float, x: int, y: int) -> float:
+        if t not in kernels:
             j = first.get(t)
             block = [t] if j is None else times[j : 2 * j + 2]
-            pending.update(zip(block, build(block)))
-        return pending.pop(t)
+            kernels.update(zip(block, build(block)))
+        return kernels[t].item(x, y)  # a float, read in one step
 
-    return lambda t, x, y: kernel_at(t).item(x, y)  # a float, read in one step
+    return sample
 
 
 def spectral_sampler(g: Graph) -> Sampler:

@@ -82,7 +82,7 @@ def test_isolated_vertex_diagonal_is_structurally_zero():
 
 def test_verify_pair_unreachable_raises():
     g = Graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(UnreachableError):
+    with pytest.raises(UnreachableError, match="'0' and '2'"):
         verify_pair(g, 0, 2)
 
 
