@@ -15,14 +15,18 @@ thresholds off such values and can then change too.
 Every subcommand yields its rows as whole CSV lines, each label quoted once
 as ``csv.writer`` quotes it.  ``kernel``, ``estimate``, ``series``, ``paths``
 and ``verify`` stream them, per time and per source, so they hold O(n) rows
-at a time rather than one per pair; ``verify --pair`` colours the graph once
-and walks each pair only to order ``d + 1``.  Every input error is raised
+at a time rather than one per pair.  ``verify`` walks O(m) per verified
+source; ``verify --pair`` colours the graph once and walks only the cone
+between x and y of each pair.  Every input error is raised
 before the first byte is written, so exit status 2 still means empty stdout
 and an untouched ``--output`` file.
 The exit status 1 of ``verify`` is known only once its last row is written.
 
 Only ``spectrum``, ``kernel`` and ``estimate`` load numpy; ``series``,
 ``verify``, ``paths`` and ``bipartite`` run in exact arithmetic without it.
+Each subcommand imports the modules it runs when it runs: the three float
+ones live in :mod:`graphheat.float_commands`, so an exact call neither
+loads nor compiles them.
 """
 
 from __future__ import annotations
@@ -35,24 +39,8 @@ import io
 import sys
 from collections.abc import Iterable
 
-from .errors import (
-    EdgeListError,
-    GraphHeatError,
-    NoConvergence,
-    PositivityFloor,
-)
+from .errors import EdgeListError, GraphHeatError
 from .graphs import Graph, bfs_profile, is_bipartite, parse_edge_list
-from .series import series_prefix
-from .varadhan import (
-    POSITIVITY_FLOOR,
-    _dyadic_times,
-    _verify_pairs,
-    _verify_source,
-    check_schedule,
-    estimate_pair,
-    spectral_sampler,
-    uniformization_sampler,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,58 +154,9 @@ def _write_csv(output: str | None, header: str, rows: Iterable[str]) -> None:
 # --- subcommand implementations ----------------------------------------------
 
 
-def _cmd_kernel(g: Graph, args: argparse.Namespace):
-    from .kernels import DEFAULT_EPS, kernel_spectral, kernel_uniformization
-    from .spectral import eigendecompose, kirchhoff_matrix
-
-    pairs = None if args.pair is None else _resolve_pairs(g, args.pair, include_diagonal=True)
-    eps = DEFAULT_EPS if args.eps is None else args.eps
-    sources = None
-    at = pairs
-    if args.method == "uniformization" and pairs is not None:
-        # Sum only the rows read.  The row block is not symmetric, so every
-        # pair is read at its smaller end and (x, y), (y, x) print one value.
-        sources = sorted({min(pair) for pair in pairs})
-        row_of = {x: i for i, x in enumerate(sources)}
-        at = [(row_of[min(pair)], max(pair)) for pair in pairs]
-    # Every kernel is made before the first row, so a bad --t raises first;
-    # T kernels of n^2 floats are far smaller than their rows.
-    if args.method == "spectral":
-        dec = eigendecompose(kirchhoff_matrix(g))
-        kernels = [kernel_spectral(dec, t) for t in args.t_values]
-    else:
-        kernels = kernel_uniformization(g, args.t_values, eps, rows=sources)  # one pass
-    # A block of rows per source; times and repr'd floats need no quoting.
-    labels = _csv_fields(g.labels)
-
-    def rows():
-        for t, K in zip(args.t_values, kernels):
-            ts = _fmt_float(t)
-            if pairs is None:
-                for x, lx in enumerate(labels):
-                    # One source's upper-triangle row at a time; + 0.0 maps
-                    # -0.0 to 0.0 and repr prints what _fmt_float prints.
-                    head = f"{ts},{lx},"
-                    yield "".join([
-                        f"{head}{ly},{p!r}\n"
-                        for ly, p in zip(labels[x:], (K[x, x:] + 0.0).tolist())
-                    ])
-            else:
-                for (x, y), (i, j) in zip(pairs, at):
-                    yield f"{ts},{labels[x]},{labels[y]},{_fmt_float(K[i, j])}\n"
-
-    return "t,x_label,y_label,p\n", rows(), lambda: 0
-
-
-def _cmd_spectrum(g: Graph, args: argparse.Namespace):
-    from .spectral import eigendecompose, kirchhoff_matrix
-
-    dec = eigendecompose(kirchhoff_matrix(g))
-    rows = [f"{k},{_fmt_float(lam)}\n" for k, lam in enumerate(dec.lambdas, 1)]
-    return "k,lambda\n", rows, lambda: 0
-
-
 def _cmd_series(g: Graph, args: argparse.Namespace):
+    from .series import series_prefix
+
     if args.max_order < 0:
         raise ValueError(f"--max-order must be nonnegative, got {args.max_order}")
     pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
@@ -236,6 +175,8 @@ def _cmd_series(g: Graph, args: argparse.Namespace):
 
 
 def _cmd_verify(g: Graph, args: argparse.Namespace):
+    from .verification import _verify_pairs, _verify_source
+
     if args.pair is None:
         results = _verify_pairs(g)
     else:
@@ -266,53 +207,6 @@ def _cmd_verify(g: Graph, args: argparse.Namespace):
     return header, rows(), lambda: 1 if failed else 0
 
 
-def _cmd_estimate(g: Graph, args: argparse.Namespace):
-    eps = POSITIVITY_FLOOR if args.eps is None else args.eps
-    if args.method == "uniformization":
-        from .kernels import _check_ct, _check_eps
-
-        _check_eps(eps)
-    if args.t0 is not None:
-        t0 = args.t0
-    else:
-        c = g.max_weighted_degree()
-        t0 = min(0.1, 0.5 / c) if c > 0 else 0.1
-        if t0 < sys.float_info.min:
-            raise ValueError(
-                f"largest weighted degree {c!r} is too large for the default "
-                f"t0 = 0.5/c = {t0!r}; give --t0"
-            )
-    pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
-    check_schedule(t0, args.levels)  # also on a graph without pairs
-    # Every input is checked before a sampler is made: the spectral one
-    # decomposes the graph at once.
-    if args.method == "spectral":
-        sampler = spectral_sampler(g)
-    else:
-        # Every sample time is at most t0, so this is the engine's c*t check
-        # of every sample, made before the first row.
-        _check_ct(g.max_weighted_degree(), t0)
-        # The times estimate_pair reads.
-        sampler = uniformization_sampler(g, eps, list(_dyadic_times(t0, args.levels)))
-
-    labels = _csv_fields(g.labels)
-
-    def rows():
-        for x, y in pairs:
-            head = f"{labels[x]},{labels[y]},"
-            try:
-                est = estimate_pair(sampler, x, y, t0=t0, levels=args.levels)
-            except (NoConvergence, PositivityFloor):
-                yield f"{head},,,false\n"
-                continue
-            if est.unreachable:
-                yield f"{head}unreachable,,{_fmt_float(est.t_used)},false\n"
-            else:
-                yield f"{head}{est.d_hat},{est.n_hat},{_fmt_float(est.t_used)},true\n"
-
-    return "x,y,d_hat,N_hat,t_used,converged\n", rows(), lambda: 0
-
-
 def _cmd_paths(g: Graph, args: argparse.Namespace):
     pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
     # One profile per source; the global bfs_profile is read at each new
@@ -341,12 +235,9 @@ def _cmd_bipartite(g: Graph, args: argparse.Namespace):
     return "bipartite,x,class\n", rows, lambda: 0
 
 
-_DISPATCH = {
-    "kernel": _cmd_kernel,
-    "spectrum": _cmd_spectrum,
+_EXACT_COMMANDS = {
     "series": _cmd_series,
     "verify": _cmd_verify,
-    "estimate": _cmd_estimate,
     "paths": _cmd_paths,
     "bipartite": _cmd_bipartite,
 }
@@ -365,11 +256,16 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
     if getattr(args, "eps", None) is not None and args.method != "uniformization":
         raise ValueError("--eps applies only to --method uniformization")
+    command = _EXACT_COMMANDS.get(args.subcommand)
+    if command is None:  # kernel, spectrum or estimate
+        from .float_commands import COMMANDS
+
+        command = COMMANDS[args.subcommand]
     with open(args.graph, encoding="utf-8") as fh:
         g = parse_edge_list(fh.read())
     # Each subcommand returns its header, its rows and a callable giving the
     # exit status, read once the last row is written.
-    header, rows, status = _DISPATCH[args.subcommand](g, args)
+    header, rows, status = command(g, args)
     _write_csv(args.output, header, rows)
     return status()
 

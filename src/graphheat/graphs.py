@@ -11,6 +11,7 @@ field name, index or unpacking, and never assigned to.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
@@ -301,19 +302,27 @@ def bfs_profile(g: Graph, source: int) -> DistanceProfile:
     return DistanceProfile(tuple(dist), tuple(count), geodesic_weight)
 
 
-def scaled_laplacian_apply(g: Graph, u: Sequence) -> list:
+def scaled_laplacian_apply(g: Graph, u: Sequence, rows: Iterable[int] | None = None) -> list:
     """``s * (A - D) u`` on the integer edge weights, ``s = g.weight_scale``.
 
+    With ``rows``, only those entries of the product, in the order given.
     Integer input gives integer output, so a walk of k steps stays in
     integers with the common denominator ``s^k``.
     """
+    wnbrs, ideg = g._wnbrs, g._ideg
     out = []
-    for wnbrs, deg, uv in zip(g._wnbrs, g._ideg, u):
-        acc = -deg * uv
-        for nbr, w in wnbrs:
+    for v in range(g.n) if rows is None else rows:
+        acc = -ideg[v] * u[v]
+        for nbr, w in wnbrs[v]:
             acc += w * u[nbr]
         out.append(acc)
     return out
+
+
+@functools.lru_cache(maxsize=1)
+def closed_neighbourhoods(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """``(v, *neighbours of v)`` for each vertex v; the latest graph's are kept."""
+    return tuple((v, *[nbr for nbr, _ in row]) for v, row in enumerate(g._wnbrs))
 
 
 def is_bipartite(g: Graph) -> tuple[int, ...] | None:

@@ -13,7 +13,7 @@ import pytest
 
 import corpus
 from graphheat import VaradhanReport, bfs_profile, parse_edge_list
-from graphheat import cli, series, varadhan
+from graphheat import cli, series, varadhan, verification
 from graphheat.cli import main
 
 try:
@@ -447,9 +447,9 @@ def test_series_walks_once_per_source(capsys, tmp_path, monkeypatch):
     sources = []
     real = series.walk_vectors
 
-    def counting(g, x, depth):
+    def counting(g, x, depth, last=None):
         sources.append(x)
-        return real(g, x, depth)
+        return real(g, x, depth, last)
 
     monkeypatch.setattr(series, "walk_vectors", counting)
     code, out, _ = run_cli(capsys, ["series", "--graph", str(p), "--max-order", "3"])
@@ -523,9 +523,11 @@ def test_exact_subcommands_run_without_numpy(graph, argv, golden, mode):
 def test_cli_import_stays_lean_without_site():
     # -S keeps site-packages' .pth files from importing modules of their own;
     # what is left is what ``import graphheat.cli`` itself costs every call.
+    # Each command imports the package modules it runs when it runs.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    heavy = ("dataclasses", "inspect", "pathlib", "typing", "numpy")
+    heavy = ("dataclasses", "inspect", "pathlib", "typing", "numpy", "graphheat.series",
+             "graphheat.verification", "graphheat.varadhan", "graphheat.float_commands")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys, graphheat.cli; print([m for m in {heavy!r} if m in sys.modules])"],
@@ -569,9 +571,9 @@ def test_verify_explicit_unreachable_pair(capsys, two_component_file):
 
 
 def test_verify_failure_sets_exit_one(capsys, grid_file, monkeypatch):
-    real = varadhan._make_report
+    real = verification._make_report
     monkeypatch.setattr(
-        varadhan, "_make_report", lambda *args: real(*args)._replace(vanish_ok="fail")
+        verification, "_make_report", lambda *args: real(*args)._replace(vanish_ok="fail")
     )
     code, out, _ = run_cli(capsys, ["verify", "--graph", grid_file])
     assert code == 1
@@ -590,7 +592,7 @@ def test_verify_failure_in_the_middle_writes_every_row(capsys, tmp_path, monkeyp
     expected_rows = expected.splitlines()
     middle = len(expected_rows) // 3  # a connected pair; the skipped ones come last
     calls = []
-    real = varadhan._make_report
+    real = verification._make_report
 
     def failing_once(*args):
         report = real(*args)
@@ -602,7 +604,7 @@ def test_verify_failure_in_the_middle_writes_every_row(capsys, tmp_path, monkeyp
             )
         return report
 
-    monkeypatch.setattr(varadhan, "_make_report", failing_once)
+    monkeypatch.setattr(verification, "_make_report", failing_once)
     code, out, err = run_cli(capsys, argv)
     assert (code, err) == (1, "")
     rows = out.splitlines()
@@ -640,19 +642,19 @@ def test_verify_pairs_colour_the_graph_once(capsys, grid_file, two_component_fil
     # one colouring per call, with or without --pair; each --pair walks from
     # its source to order d + 1 only, and a cross-component one takes no step
     colourings, walks = [], []
-    real_colouring, real_walk = varadhan.is_bipartite, varadhan.walk_vectors
+    real_colouring, real_walk = verification.is_bipartite, verification.walk_vectors
 
     def counting(g):
         colourings.append(g)
         return real_colouring(g)
 
-    def recording(g, x, depth):
+    def recording(g, x, depth, last=None):
         walks.append((g.labels[x], depth))
-        return real_walk(g, x, depth)
+        return real_walk(g, x, depth, last)
 
-    for module in (cli, varadhan):
+    for module in (cli, verification):
         monkeypatch.setattr(module, "is_bipartite", counting)
-    monkeypatch.setattr(varadhan, "walk_vectors", recording)
+    monkeypatch.setattr(verification, "walk_vectors", recording)
     code, out, _ = run_cli(capsys, ["verify", "--graph", grid_file])
     assert (code, len(out.splitlines()), len(colourings)) == (0, 16, 1)
     for graph, pairs in ((grid_file, [("a0", "b2", 3), ("a1", "b0", 2), ("b2", "b2", 0)]),
@@ -783,7 +785,7 @@ def test_estimate_builds_dyadic_levels_in_doubling_blocks(capsys, monkeypatch, t
     levels = 40
     schedule = [0.1 * 0.5**j for j in range(levels + 1)]  # t0 = 0.1: c = 4
     passes, asked = [], set()
-    real_series, real_sampler = kernels._poisson_series, cli.uniformization_sampler
+    real_series, real_sampler = kernels._poisson_series, varadhan.uniformization_sampler
 
     def counting_series(P, B, terms):
         passes.append(len(terms))
@@ -799,7 +801,7 @@ def test_estimate_builds_dyadic_levels_in_doubling_blocks(capsys, monkeypatch, t
         return sample
 
     monkeypatch.setattr(kernels, "_poisson_series", counting_series)
-    monkeypatch.setattr(cli, "uniformization_sampler", recording_sampler)
+    monkeypatch.setattr(varadhan, "uniformization_sampler", recording_sampler)
     code, out, _ = run_cli(capsys, ["estimate", "--graph", str(p), *_UNIF,
                                     "--levels", str(levels)])
     assert code == 0 and len(out.splitlines()) == 1 + 100 * 99 // 2

@@ -218,9 +218,9 @@ def test_leading_order_walks_only_to_the_distance(monkeypatch):
     steps = []
     real = series_module.scaled_laplacian_apply
 
-    def counting(g, u):
-        steps.append(len(u))
-        return real(g, u)
+    def counting(g, u, rows=None):
+        steps.append(g.n if rows is None else len(rows))  # the rows updated
+        return real(g, u, rows)
 
     monkeypatch.setattr(series_module, "scaled_laplacian_apply", counting)
     k = 2000
@@ -228,9 +228,11 @@ def test_leading_order_walks_only_to_the_distance(monkeypatch):
     g = Graph(2 * k, two_paths)
     assert kernel_taylor_coefficient(g, 0, 40, 40) == F(1, math.factorial(40))
     assert len(steps) == 40
+    assert steps == [1] * 40  # the cone between 0 and 40 on a path: one vertex a step
     steps.clear()
     assert verify_pair(g, 0, 40).d == 40
     assert len(steps) == 41  # one past the distance, for the next coefficient
+    assert max(steps) <= 2
     steps.clear()
     with pytest.raises(UnreachableError):
         verify_pair(g, 0, 2 * k - 1)  # no walk step: BFS already decides
