@@ -12,15 +12,15 @@ eigendecomposition and the kernel products run in BLAS/LAPACK, whose results
 can differ in the last bits between thread counts; ``estimate`` rows read
 thresholds off such values and can then change too.
 
-Every subcommand yields its rows as whole CSV lines, each label quoted once
-as ``csv.writer`` quotes it.  ``kernel``, ``estimate``, ``series``, ``paths``
-and ``verify`` stream them, per time and per source, so they hold O(n) rows
-at a time rather than one per pair.  ``verify`` walks O(m) per verified
-source; ``verify --pair`` colours the graph once and walks only the cone
-between x and y of each pair.  Every input error is raised
-before the first byte is written, so exit status 2 still means empty stdout
-and an untouched ``--output`` file.
-The exit status 1 of ``verify`` is known only once its last row is written.
+Each subcommand is a generator: it checks its input, yields the header,
+then its rows as whole CSV lines (each label quoted once as ``csv.writer``
+quotes it), and returns its exit status.  :func:`run` takes the header
+before it opens ``--output``, so every input error comes before the first
+byte: exit status 2 means empty stdout and an untouched ``--output`` file.
+Rows stream per time and per source, O(n) at a time rather than one per
+pair.  ``verify`` walks O(m) per verified source, ``verify --pair`` colours
+the graph once and walks only the cone between x and y of each pair, and
+its exit status 1 is known only once its last row is written.
 
 Only ``spectrum``, ``kernel`` and ``estimate`` load numpy; ``series``,
 ``verify``, ``paths`` and ``bipartite`` run in exact arithmetic without it.
@@ -34,13 +34,23 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import io
 import sys
-from collections.abc import Iterable
+from collections.abc import Generator, Iterable, Iterator
 
 from .errors import EdgeListError, GraphHeatError
 from .graphs import Graph, bfs_profile, is_bipartite, parse_edge_list
+
+
+def _subcommand(sub, name: str, summary: str, pairs: bool = True) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with ``--graph``, ``--output`` and, if ``pairs``, ``--pair``."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--graph", required=True, help="edge-list file (u v [weight] per line)")
+    p.add_argument("--output", default=None, help="output CSV path (default: stdout)")
+    if pairs:
+        p.add_argument("--pair", nargs=2, action="append", metavar=("U", "V"),
+                       help="restrict to this labelled pair (repeatable; default: all pairs)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,44 +61,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--graph", required=True, help="edge-list file (u v [weight] per line)")
-        p.add_argument("--output", default=None, help="output CSV path (default: stdout)")
-
-    def pair_flag(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--pair",
-            nargs=2,
-            action="append",
-            metavar=("U", "V"),
-            help="restrict to this labelled pair (repeatable; default: all pairs)",
-        )
-
-    p = sub.add_parser("kernel", help="heat-kernel entries p_t(x, y)")
-    common(p)
-    pair_flag(p)
+    p = _subcommand(sub, "kernel", "heat-kernel entries p_t(x, y)")
     p.add_argument("--t", dest="t_values", type=float, action="append", required=True,
                    metavar="T", help="evaluation time (repeatable)")
     p.add_argument("--method", choices=("spectral", "uniformization"), default="spectral")
     p.add_argument("--eps", type=float, default=None,
                    help="uniformization only: tail bound (default 1e-12)")
 
-    p = sub.add_parser("spectrum", help="Laplacian eigenvalues, ascending")
-    common(p)
+    _subcommand(sub, "spectrum", "Laplacian eigenvalues, ascending", pairs=False)
 
-    p = sub.add_parser("series", help="exact Taylor coefficients of p_t(x, y)")
-    common(p)
-    pair_flag(p)
+    p = _subcommand(sub, "series", "exact Taylor coefficients of p_t(x, y)")
     p.add_argument("--max-order", dest="max_order", type=int, default=6,
                    help="highest coefficient order to emit (default 6)")
 
-    p = sub.add_parser("verify", help="short-time expansion checks per pair")
-    common(p)
-    pair_flag(p)
+    _subcommand(sub, "verify", "short-time expansion checks per pair")
 
-    p = sub.add_parser("estimate", help="recover (distance, geodesic count) from kernel samples")
-    common(p)
-    pair_flag(p)
+    p = _subcommand(sub, "estimate", "recover (distance, geodesic count) from kernel samples")
     p.add_argument("--method", choices=("spectral", "uniformization"), default="spectral")
     p.add_argument("--t0", type=float, default=None,
                    help="largest sample time (default min(0.1, 1/(2 max degree)))")
@@ -97,12 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None,
                    help="uniformization only: sampler tail bound (default: positivity floor)")
 
-    p = sub.add_parser("paths", help="distance and geodesic count per pair")
-    common(p)
-    pair_flag(p)
+    _subcommand(sub, "paths", "distance and geodesic count per pair")
 
-    p = sub.add_parser("bipartite", help="two-colouring, if one exists")
-    common(p)
+    _subcommand(sub, "bipartite", "two-colouring, if one exists", pairs=False)
 
     return parser
 
@@ -138,19 +123,6 @@ def _csv_fields(labels: Iterable[str]) -> list[str]:
     return [line[:-1] for line in buf.getvalue().split("\n")[:-1]]
 
 
-def _write_csv(output: str | None, header: str, rows: Iterable[str]) -> None:
-    """Write the header line, then the rows, CSV text in blocks of whole
-    lines, as the iterable yields them."""
-    to_stdout = output is None or output == "-"
-    with (
-        contextlib.nullcontext(sys.stdout)
-        if to_stdout
-        else open(output, "w", encoding="utf-8", newline="")
-    ) as fh:
-        fh.write(header)
-        fh.writelines(rows)
-
-
 # --- subcommand implementations ----------------------------------------------
 
 
@@ -161,17 +133,15 @@ def _cmd_series(g: Graph, args: argparse.Namespace):
         raise ValueError(f"--max-order must be nonnegative, got {args.max_order}")
     pairs = _resolve_pairs(g, args.pair, include_diagonal=True)
     labels = _csv_fields(g.labels)
-
-    def rows():
-        for x, y in pairs:
-            head = f"{labels[x]},{labels[y]},"
-            # Consecutive pairs from one source share one walk (see series_prefix).
-            yield "".join([
-                f"{head}{k},{c.numerator},{c.denominator}\n"
-                for k, c in enumerate(series_prefix(g, x, y, args.max_order))
-            ])
-
-    return "x_label,y_label,k,numerator,denominator\n", rows(), lambda: 0
+    yield "x_label,y_label,k,numerator,denominator\n"
+    for x, y in pairs:
+        head = f"{labels[x]},{labels[y]},"
+        # Consecutive pairs from one source share one walk (see series_prefix).
+        yield "".join([
+            f"{head}{k},{c.numerator},{c.denominator}\n"
+            for k, c in enumerate(series_prefix(g, x, y, args.max_order))
+        ])
+    return 0
 
 
 def _cmd_verify(g: Graph, args: argparse.Namespace):
@@ -184,55 +154,51 @@ def _cmd_verify(g: Graph, args: argparse.Namespace):
         colors = is_bipartite(g)
         results = ((x, y, r) for x, y in pairs for r in _verify_source(g, x, (y,), colors))
     labels = _csv_fields(g.labels)
+    yield (
+        "x,y,d,N,leading_num,leading_den,next_num,next_den,"
+        "vanish_ok,leading_ok,bipartite_sign\n"
+    )
     failed = False
-
-    def rows():
-        nonlocal failed
-        for x, y, r in results:
-            head = f"{labels[x]},{labels[y]},"
-            if r is None:  # a pair split across components
-                yield f"{head}unreachable,,,,,,na,na,na\n"
-                continue
-            failed = failed or not r.passed
-            lead, after = r.leading, r.next_coeff
-            yield (
-                f"{head}{r.d},{r.n_geodesics},"
-                f"{lead.numerator},{lead.denominator},{after.numerator},{after.denominator},"
-                f"{r.vanish_ok},{r.leading_ok},{r.bipartite_sign}\n"
-            )
-
-    header = "x,y,d,N,leading_num,leading_den,next_num,next_den,"
-    header += "vanish_ok,leading_ok,bipartite_sign\n"
-    # Exit 1 if any verdict failed, which is known once the last row is written.
-    return header, rows(), lambda: 1 if failed else 0
+    for x, y, r in results:
+        head = f"{labels[x]},{labels[y]},"
+        if r is None:  # a pair split across components
+            yield f"{head}unreachable,,,,,,na,na,na\n"
+            continue
+        failed = failed or not r.passed
+        lead, after = r.leading, r.next_coeff
+        yield (
+            f"{head}{r.d},{r.n_geodesics},"
+            f"{lead.numerator},{lead.denominator},{after.numerator},{after.denominator},"
+            f"{r.vanish_ok},{r.leading_ok},{r.bipartite_sign}\n"
+        )
+    return 1 if failed else 0
 
 
 def _cmd_paths(g: Graph, args: argparse.Namespace):
     pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
-    # One profile per source; the global bfs_profile is read at each new
-    # source.  All pairs come source by source, so only the latest is kept.
-    profile_of = functools.lru_cache(maxsize=None if args.pair else 1)(
-        lambda x: bfs_profile(g, x)
-    )
     labels = _csv_fields(g.labels)
-
-    def rows():
-        for x, y in pairs:
-            profile = profile_of(x)
-            d = profile.dist[y]
-            d = "unreachable" if d is None else d
-            yield f"{labels[x]},{labels[y]},{d},{profile.geodesic_count[y]}\n"
-
-    return "x,y,d,count\n", rows(), lambda: 0
+    yield "x,y,d,count\n"
+    # One profile per source, kept until the source changes: all pairs come
+    # source by source.
+    source = profile = None
+    for x, y in pairs:
+        if x != source:
+            source, profile = x, bfs_profile(g, x)
+        d = profile.dist[y]
+        d = "unreachable" if d is None else d
+        yield f"{labels[x]},{labels[y]},{d},{profile.geodesic_count[y]}\n"
+    return 0
 
 
 def _cmd_bipartite(g: Graph, args: argparse.Namespace):
     colors = is_bipartite(g)
+    yield "bipartite,x,class\n"
     if colors is None:
-        rows = ["false,,\n"]
+        yield "false,,\n"
     else:
-        rows = [f"true,{lx},{c}\n" for lx, c in zip(_csv_fields(g.labels), colors)]
-    return "bipartite,x,class\n", rows, lambda: 0
+        for lx, c in zip(_csv_fields(g.labels), colors):
+            yield f"true,{lx},{c}\n"
+    return 0
 
 
 _EXACT_COMMANDS = {
@@ -263,11 +229,24 @@ def run(args: argparse.Namespace) -> int:
         command = COMMANDS[args.subcommand]
     with open(args.graph, encoding="utf-8") as fh:
         g = parse_edge_list(fh.read())
-    # Each subcommand returns its header, its rows and a callable giving the
-    # exit status, read once the last row is written.
-    header, rows, status = command(g, args)
-    _write_csv(args.output, header, rows)
-    return status()
+    # The subcommand's input checks have all run once its header is taken;
+    # --output is opened only then.
+    lines = command(g, args)
+    header = next(lines)
+    status = []
+    with (
+        contextlib.nullcontext(sys.stdout)
+        if args.output is None or args.output == "-"
+        else open(args.output, "w", encoding="utf-8", newline="")
+    ) as fh:
+        fh.write(header)
+        fh.writelines(_keep_return(lines, status))
+    return status[0]
+
+
+def _keep_return(lines: Generator[str, None, int], status: list[int]) -> Iterator[str]:
+    """Yield what ``lines`` yields, then append its return value to ``status``."""
+    status.append((yield from lines))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,8 +2,8 @@
 
 :mod:`graphheat.cli` imports this module only to run one of them, so the
 exact subcommands neither load numpy nor compile these commands.  Each one
-returns the header, rows and exit status that :func:`graphheat.cli.run`
-writes.
+is a generator, as :func:`graphheat.cli.run` reads it: it checks its input,
+yields the header line, then its rows, and returns the exit status 0.
 """
 
 from __future__ import annotations
@@ -43,43 +43,37 @@ def _cmd_kernel(g: Graph, args: argparse.Namespace):
         kernels = kernel_uniformization(g, args.t_values, eps, rows=sources)  # one pass
     # A block of rows per source; times and repr'd floats need no quoting.
     labels = _csv_fields(g.labels)
-
-    def rows():
-        for t, K in zip(args.t_values, kernels):
-            ts = _fmt_float(t)
-            if pairs is None:
-                for x, lx in enumerate(labels):
-                    # One source's upper-triangle row at a time; + 0.0 maps
-                    # -0.0 to 0.0 and repr prints what _fmt_float prints.
-                    head = f"{ts},{lx},"
-                    yield "".join([
-                        f"{head}{ly},{p!r}\n"
-                        for ly, p in zip(labels[x:], (K[x, x:] + 0.0).tolist())
-                    ])
-            else:
-                for (x, y), (i, j) in zip(pairs, at):
-                    yield f"{ts},{labels[x]},{labels[y]},{_fmt_float(K[i, j])}\n"
-
-    return "t,x_label,y_label,p\n", rows(), lambda: 0
+    yield "t,x_label,y_label,p\n"
+    for t, K in zip(args.t_values, kernels):
+        ts = _fmt_float(t)
+        if pairs is None:
+            for x, lx in enumerate(labels):
+                # One source's upper-triangle row at a time; + 0.0 maps
+                # -0.0 to 0.0 and repr prints what _fmt_float prints.
+                head = f"{ts},{lx},"
+                yield "".join([
+                    f"{head}{ly},{p!r}\n"
+                    for ly, p in zip(labels[x:], (K[x, x:] + 0.0).tolist())
+                ])
+        else:
+            for (x, y), (i, j) in zip(pairs, at):
+                yield f"{ts},{labels[x]},{labels[y]},{_fmt_float(K[i, j])}\n"
+    return 0
 
 
 def _cmd_spectrum(g: Graph, args: argparse.Namespace):
     from .spectral import eigendecompose, kirchhoff_matrix
 
     dec = eigendecompose(kirchhoff_matrix(g))
-    rows = [f"{k},{_fmt_float(lam)}\n" for k, lam in enumerate(dec.lambdas, 1)]
-    return "k,lambda\n", rows, lambda: 0
+    yield "k,lambda\n"
+    for k, lam in enumerate(dec.lambdas, 1):
+        yield f"{k},{_fmt_float(lam)}\n"
+    return 0
 
 
 def _cmd_estimate(g: Graph, args: argparse.Namespace):
-    eps = varadhan.POSITIVITY_FLOOR if args.eps is None else args.eps
-    if args.method == "uniformization":
-        from .kernels import _check_ct, _check_eps
-
-        _check_eps(eps)
-    if args.t0 is not None:
-        t0 = args.t0
-    else:
+    t0 = args.t0
+    if t0 is None:
         c = g.max_weighted_degree()
         t0 = min(0.1, 0.5 / c) if c > 0 else 0.1
         if t0 < sys.float_info.min:
@@ -90,33 +84,27 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
     pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
     varadhan.check_schedule(t0, args.levels)  # also on a graph without pairs
     # Every input is checked before a sampler is made: the spectral one
-    # decomposes the graph at once.
+    # decomposes the graph at once, and the uniformization one checks its
+    # eps and the c*t of its largest time, t0.
     if args.method == "spectral":
         sampler = varadhan.spectral_sampler(g)
-    else:
-        # Every sample time is at most t0, so this is the engine's c*t check
-        # of every sample, made before the first row.
-        _check_ct(g.max_weighted_degree(), t0)
-        # The times estimate_pair reads.
-        times = list(varadhan._dyadic_times(t0, args.levels))
-        sampler = varadhan.uniformization_sampler(g, eps, times)
-
+    else:  # its kernels are summed at the times estimate_pair reads
+        eps = varadhan.POSITIVITY_FLOOR if args.eps is None else args.eps
+        sampler = varadhan.uniformization_sampler(g, eps, varadhan._dyadic_times(t0, args.levels))
     labels = _csv_fields(g.labels)
-
-    def rows():
-        for x, y in pairs:
-            head = f"{labels[x]},{labels[y]},"
-            try:
-                est = varadhan.estimate_pair(sampler, x, y, t0=t0, levels=args.levels)
-            except (NoConvergence, PositivityFloor):
-                yield f"{head},,,false\n"
-                continue
-            if est.unreachable:
-                yield f"{head}unreachable,,{_fmt_float(est.t_used)},false\n"
-            else:
-                yield f"{head}{est.d_hat},{est.n_hat},{_fmt_float(est.t_used)},true\n"
-
-    return "x,y,d_hat,N_hat,t_used,converged\n", rows(), lambda: 0
+    yield "x,y,d_hat,N_hat,t_used,converged\n"
+    for x, y in pairs:
+        head = f"{labels[x]},{labels[y]},"
+        try:
+            est = varadhan.estimate_pair(sampler, x, y, t0=t0, levels=args.levels)
+        except (NoConvergence, PositivityFloor):
+            yield f"{head},,,false\n"
+            continue
+        if est.unreachable:
+            yield f"{head}unreachable,,{_fmt_float(est.t_used)},false\n"
+        else:
+            yield f"{head}{est.d_hat},{est.n_hat},{_fmt_float(est.t_used)},true\n"
+    return 0
 
 
 COMMANDS = {

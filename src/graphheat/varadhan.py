@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import NoConvergence, PositivityFloor
 from .graphs import Graph
@@ -122,8 +122,8 @@ def estimate_pair(
     shifts no exponent estimate.
 
     Raises :class:`NoConvergence` when the levels are exhausted without a
-    stable exponent, and :class:`PositivityFloor` when samples die below the
-    floor after having been live.
+    stable exponent or a sample is inf, and :class:`PositivityFloor` when
+    samples die below the floor after having been live.
     """
     check_schedule(t0, levels)
     # Rounding is half-up, math.floor(v + 0.5): plain round() is
@@ -145,6 +145,8 @@ def estimate_pair(
                     f"sample at t={t:.3e} fell to {p:.3e} before the exponent stabilized"
                 )
             break  # deeper samples are below resolution; keep the current read
+        if p == math.inf:
+            raise NoConvergence(f"sample at t={t:.3e} is inf", tuple(trace))
         if d_hat is None:
             if prev is not None:
                 e = math.log(prev / p) / _LOG2
@@ -225,7 +227,7 @@ def spectral_sampler(g: Graph) -> Sampler:
 
 
 def uniformization_sampler(
-    g: Graph, eps: float = POSITIVITY_FLOOR, times: Sequence[float] = ()
+    g: Graph, eps: float = POSITIVITY_FLOOR, times: Iterable[float] = ()
 ) -> Sampler:
     """Cancellation-free sampler; kernels are cached per t.
 
@@ -235,14 +237,17 @@ def uniformization_sampler(
     order d and report false zeros.
 
     ``times`` is the schedule the caller reads from its start, such as the
-    dyadic times of :func:`estimate_pair`.
+    dyadic times of :func:`estimate_pair`; ``eps`` and the engine's ``c*t``
+    limit at the largest of them are checked here, before any sample.
     Its kernels are summed in blocks of levels ``j .. 2j + 1``, each block in
     one Poisson pass (see :func:`graphheat.kernels.kernel_uniformization`),
     so the levels read cost about ``log2(levels)`` passes and at most twice
     their number in held kernels.  Every kernel has the bits of a pass of
     its own.
     """
-    from .kernels import _check_eps, kernel_uniformization
+    from .kernels import _check_ct, _check_eps, kernel_uniformization
 
+    times = tuple(times)
     _check_eps(eps)
-    return _kernel_sampler(lambda ts: kernel_uniformization(g, ts, eps), tuple(times))
+    _check_ct(g.max_weighted_degree(), max(times, default=0.0))
+    return _kernel_sampler(lambda ts: kernel_uniformization(g, ts, eps), times)

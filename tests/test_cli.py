@@ -1015,6 +1015,22 @@ def test_non_finite_option_or_huge_ct_rejected(capsys, tmp_path, text, command, 
     assert expect in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_estimate_inf_sample_flags_its_pair(capsys, tmp_path):
+    # eigh returns this graph's zero eigenvalue as a tiny positive number, so
+    # the spectral kernel overflows to inf at these times; the inf samples
+    # once passed as live, and the call exited 2 after writing the header
+    text = "a b\nb c\nc d 1/2\n"
+    if not math.isinf(varadhan.spectral_sampler(parse_edge_list(text))(1e30, 0, 1)):
+        pytest.skip("this LAPACK returns no positive zero eigenvalue for the graph")
+    p = tmp_path / "g.txt"
+    p.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["estimate", "--graph", str(p), "--t0", "1e30"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"{x},{y},,,,false" for x, y in
+                                    ("ab", "ac", "ad", "bc", "bd", "cd")]
+
+
 @pytest.mark.parametrize("text", ["", "# no edges\n"], ids=["empty", "comments-only"])
 @pytest.mark.parametrize(
     "options, expect",

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,39 @@ def test_parse_bad_weight(w):
     assert exc_info.value.line == 1
 
 
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        ("1e999999999", "edge weight 1e999999999 is not a positive finite float"),
+        ("0.5E-999999999", "edge weight 0.5E-999999999 is not a positive finite float"),
+        ("0e999999999", "edge weight must be positive, got 0e999999999"),
+        ("-2e999999999", "edge weight must be positive, got -2e999999999"),
+        ("1/2e999999999", "cannot parse weight '1/2e999999999'"),
+    ],
+)
+def test_parse_huge_weight_exponent_rejected_fast(w, message):
+    # Fraction builds 10**999999999 first: this once took minutes per line
+    start = time.perf_counter()
+    with pytest.raises(WeightError) as exc_info:
+        parse_edge_list(f"a b\nb c {w}\n")
+    assert time.perf_counter() - start < 1.0
+    assert str(exc_info.value) == f"line 2: {message}"
+
+
+@pytest.mark.parametrize(
+    "w, kept",
+    [("1e308", True), ("0.001e311", True), ("30000e-328", True), ("+2.5E-3", True),
+     ("1e310", False), ("0000001e316", False), ("1e-324", False), ("10000e-329", False)],
+)
+def test_parse_weight_exponent_near_the_bound(w, kept):
+    # each exponent is within the bound, so Fraction reads it as before
+    if kept:
+        assert parse_edge_list(f"a b {w}\n").weights[(0, 1)] == Fraction(w)
+    else:
+        with pytest.raises(WeightError, match="is not a positive finite float"):
+            parse_edge_list(f"a b {w}\n")
+
+
 def test_parse_empty_text_gives_empty_graph():
     g = parse_edge_list("# nothing but comments\n")
     assert g.n == 0
@@ -109,6 +143,20 @@ def test_parse_empty_text_gives_empty_graph():
 def test_constructor_rejects_out_of_range_edge():
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
+
+
+def test_constructor_rejects_self_loop():
+    # the parser rejects a self-loop first, so only a direct call reaches this
+    with pytest.raises(SelfLoopError, match="^self-loop at vertex 'b'$") as exc_info:
+        Graph(3, [(0, 1), (1, 1)], labels=["a", "b", "c"])
+    assert exc_info.value.line is None
+
+
+@pytest.mark.parametrize("edges", [[(0, 2), (0, 2)], [(0, 2), (2, 0)], [(2, 0), (0, 2)]])
+def test_constructor_rejects_duplicate_edge_either_orientation(edges):
+    with pytest.raises(DuplicateEdgeError, match="^duplicate edge 'a' -- 'c'$") as exc_info:
+        Graph(3, edges, labels=["a", "b", "c"])
+    assert exc_info.value.line is None
 
 
 def test_constructor_rejects_duplicate_labels():

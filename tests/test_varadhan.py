@@ -454,3 +454,17 @@ def test_nan_sample_counts_as_dead():
     assert len(est.exponent_trace) == 4
     with pytest.raises(PositivityFloor, match="fell to nan"):
         estimate_pair(lambda t, x, y: t**2 if t > t0 / 4 else math.nan, 0, 1, t0=t0)
+
+
+@pytest.mark.parametrize("level", [0, 2, 5])
+def test_inf_sample_flags_the_pair(level):
+    # an inf sample once counted as live: its exponent or count read then
+    # raised OverflowError or ValueError; before or after d = 2 is fixed at
+    # level 4 (as in the NaN case above) it now flags the pair
+    t0 = 0.1
+
+    def sampler(t, x, y):
+        return math.inf if t == t0 * 0.5**level else 10.0 * t**2 * (1.0 + 3.0 * t)
+
+    with pytest.raises(NoConvergence, match="is inf"):
+        estimate_pair(sampler, 0, 1, t0=t0, levels=8)
