@@ -2,10 +2,10 @@
 
 Every subcommand reads one graph file, writes one CSV report (stdout by
 default), and exits 0 on success, 1 when a verification verdict failed, or
-2 on input errors.  Input errors include a non-finite ``--t``, ``--t0`` or
-``--eps``, an ``--eps`` without ``--method uniformization``, and a
-uniformization ``kernel`` whose ``c*t`` (largest weighted degree times time)
-exceeds the engine's cap.  Output is deterministic
+2 on input errors or a closed stdout.  Input errors include a non-finite
+``--t``, ``--t0`` or ``--eps``, an ``--eps`` without ``--method
+uniformization``, and a uniformization ``kernel`` whose ``c*t`` (largest
+weighted degree times time) exceeds the engine's cap.  Output is deterministic
 byte-for-byte for a fixed input, flag set and BLAS thread count: orderings
 are stable and floats print in shortest round-trip form.  The
 eigendecomposition and the kernel products run in BLAS/LAPACK, whose results
@@ -35,6 +35,7 @@ import argparse
 import contextlib
 import csv
 import io
+import os
 import sys
 from collections.abc import Generator, Iterable, Iterator
 
@@ -253,11 +254,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except EdgeListError as exc:
-        print(f"error: {args.graph}: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, GraphHeatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"{args.graph}: " if isinstance(exc, EdgeListError) else ""
+        if isinstance(exc, BrokenPipeError):  # stdout is closed: flush it to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        try:
+            print(f"error: {where}{exc}", file=sys.stderr)
+        except BrokenPipeError:  # a closed stderr: the error line goes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return 2
 
 

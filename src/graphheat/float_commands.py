@@ -9,6 +9,7 @@ yields the header line, then its rows, and returns the exit status 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 # Read as ``varadhan.name`` at each call, where a tracer or a test may have
@@ -92,6 +93,7 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
         eps = varadhan.POSITIVITY_FLOOR if args.eps is None else args.eps
         sampler = varadhan.uniformization_sampler(g, eps, varadhan._dyadic_times(t0, args.levels))
     labels = _csv_fields(g.labels)
+    fmt_t = functools.cache(_fmt_float)  # rows share the few dyadic times
     yield "x,y,d_hat,N_hat,t_used,converged\n"
     for x, y in pairs:
         head = f"{labels[x]},{labels[y]},"
@@ -101,9 +103,9 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
             yield f"{head},,,false\n"
             continue
         if est.unreachable:
-            yield f"{head}unreachable,,{_fmt_float(est.t_used)},false\n"
+            yield f"{head}unreachable,,{fmt_t(est.t_used)},false\n"
         else:
-            yield f"{head}{est.d_hat},{est.n_hat},{_fmt_float(est.t_used)},true\n"
+            yield f"{head}{est.d_hat},{est.n_hat},{fmt_t(est.t_used)},true\n"
     return 0
 
 

@@ -184,6 +184,7 @@ def parse_edge_list(text: str) -> Graph:
     edges: list[tuple[int, int]] = []
     weights: dict[tuple[int, int], Fraction] = {}
     seen: set[tuple[int, int]] = set()
+    literals: dict[str, Fraction] = {}
     any_weight = False
 
     def intern(name: str) -> int:
@@ -213,22 +214,26 @@ def parse_edge_list(text: str) -> Graph:
         seen.add(key)
         edges.append(key)
         if len(parts) == 3:
-            # Fraction builds 10**abs(E) first, minutes for 1e30000000, yet a
-            # literal with L characters before its exponent E has no float
-            # value once E > L + 309 or E < -(L + 324).  Such an exponent is
-            # read as 0, for the literal's syntax and sign alone.
-            mantissa, e, exponent = parts[2].lower().partition("e")
-            try:
-                huge = e and not -(len(mantissa) + 324) <= int(exponent) <= len(mantissa) + 309
-                w = Fraction(mantissa + "e0" if huge else parts[2])
-            except (ValueError, ZeroDivisionError):
-                raise WeightError(f"cannot parse weight {parts[2]!r}", lineno) from None
-            if w.numerator <= 0:
-                raise WeightError(f"edge weight must be positive, got {parts[2]}", lineno)
-            if huge or not _is_float_representable(w):
-                raise WeightError(
-                    f"edge weight {parts[2]} is not a positive finite float", lineno
-                )
+            w = literals.get(parts[2])
+            if w is None:  # a literal is parsed and checked at its first line
+                # Fraction builds 10**abs(E) first, minutes for 1e30000000, yet
+                # a literal with L characters before its exponent E has no
+                # float value once E > L + 309 or E < -(L + 324).  Such an
+                # exponent is read as 0, for the literal's syntax and sign alone.
+                mantissa, e, exponent = parts[2].lower().partition("e")
+                L = len(mantissa)
+                try:
+                    huge = e and not -(L + 324) <= int(exponent) <= L + 309
+                    w = Fraction(mantissa + "e0" if huge else parts[2])
+                except (ValueError, ZeroDivisionError):
+                    raise WeightError(f"cannot parse weight {parts[2]!r}", lineno) from None
+                if w.numerator <= 0:
+                    raise WeightError(f"edge weight must be positive, got {parts[2]}", lineno)
+                if huge or not _is_float_representable(w):
+                    raise WeightError(
+                        f"edge weight {parts[2]} is not a positive finite float", lineno
+                    )
+                literals[parts[2]] = w
             weights[key] = w
             any_weight = True
 

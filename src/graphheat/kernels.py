@@ -132,8 +132,15 @@ def _unit_rows(n: int, rows: list[int] | None) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _latest_shifted_matrix(g: Graph) -> np.ndarray:
-    """``P = (A - D)/c + I`` of the latest graph, built once for all its times."""
-    P = kirchhoff_matrix(g).dense / g.max_weighted_degree()
+    """``P = (A - D)/c + I`` of the latest graph, built once for all its times.
+
+    :func:`kirchhoff_matrix` makes a new array on every call and hands it
+    out read-only.  This array is nobody else's, so P is made of it in
+    place: the build holds one n x n array, not two.
+    """
+    P = kirchhoff_matrix(g).dense
+    P.setflags(write=True)
+    P /= g.max_weighted_degree()
     P[np.diag_indices(g.n)] += 1.0  # in place: no n x n identity or sum
     P.setflags(write=False)
     return P
@@ -209,8 +216,10 @@ def kernel_uniformization(
     for i, K in enumerate(kernels):
         if rows is None:
             # The average of two nonnegative matrices stays nonnegative, and
-            # the identity keeps its bits.
-            K = 0.5 * (K + K.T)
+            # the identity keeps its bits.  One new array, where
+            # 0.5 * (K + K.T) makes two.
+            K = K + K.T
+            K *= 0.5
         K.setflags(write=False)
         kernels[i] = K
     return kernels[0] if single else tuple(kernels)

@@ -33,8 +33,7 @@ POSITIVITY_FLOOR = 1e-250
 #: Dyadic exponent must sit this close to an integer to count as stable.
 EXPONENT_TOL = 0.1
 
-#: Number of consecutive agreeing exponent estimates required
-#: (:func:`estimate_pair` writes its window of three out in line).
+#: Number of consecutive agreeing exponent estimates required.
 STABLE_ROUNDS = 3
 
 #: Acceptance band around the rounded geodesic count.
@@ -128,11 +127,10 @@ def estimate_pair(
     check_schedule(t0, levels)
     # Rounding is half-up, math.floor(v + 0.5): plain round() is
     # round-half-even, and half-up keeps e.g. a 0.5-scaled single-geodesic
-    # count from collapsing to zero.  This loop runs once per pair, so the
-    # rounding and the window of STABLE_ROUNDS estimates, e0, e1 and the
-    # latest e, are written out in line.
+    # count from collapsing to zero.
     trace: list[float] = []
-    e0 = e1 = None  # the two exponent estimates before the latest
+    r = None  # the latest exponent estimate, rounded
+    run = 0  # how many estimates in a row round to r >= 0, within EXPONENT_TOL
     prev: float | None = None  # the latest live sample
     d_hat: int | None = None
     for t in _dyadic_times(t0, levels):
@@ -151,19 +149,15 @@ def estimate_pair(
             if prev is not None:
                 e = math.log(prev / p) / _LOG2
                 trace.append(e)
-                if e0 is not None:
-                    r = math.floor(e0 + 0.5)
-                    if (
-                        r >= 0
-                        and abs(e0 - r) < EXPONENT_TOL
-                        and math.floor(e1 + 0.5) == r
-                        and abs(e1 - r) < EXPONENT_TOL
-                        and math.floor(e + 0.5) == r
-                        and abs(e - r) < EXPONENT_TOL
-                    ):
-                        d_hat = r
-                        log_d_factorial = math.lgamma(d_hat + 1)
-                e0, e1 = e1, e
+                r_e = math.floor(e + 0.5)
+                if r_e >= 0 and abs(e - r_e) < EXPONENT_TOL:
+                    run = run + 1 if r_e == r else 1
+                else:
+                    run = 0
+                r = r_e
+                if run >= STABLE_ROUNDS:
+                    d_hat = r
+                    log_d_factorial = math.lgamma(d_hat + 1)
             prev = p
         if d_hat is not None:
             t_used = t

@@ -1100,6 +1100,49 @@ def test_bad_eps_value(capsys, grid_file):
     assert "eps" in err
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["kernel", "--t", "0.5"]], ids=["verify", "kernel"])
+def test_closed_pipe_exits_two(tmp_path, argv):
+    # `graphheat verify ... 2>&1 | head -1`: stdout and stderr share one pipe,
+    # closed after the first line, so the error line has nowhere to go either.
+    # Exit 1 would claim a failed verdict, and a traceback or a failed last
+    # flush would end with 1 or 120.
+    p = tmp_path / "grid.txt"
+    p.write_text(corpus.edge_list_text(corpus.grid_graph(10, 10)), encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "graphheat.cli", argv[0], "--graph", str(p), *argv[1:]],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+    )
+    # thousands of rows, far more than the pipe holds, so the child is still
+    # writing when the pipe closes
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    assert first.startswith(b"x,y,d," if argv[0] == "verify" else b"t,x_label,")
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify"], "a b\nb c 0\n"),  # a parse error names the file
+    (["kernel", "--t", "-1"], "a b\n"),
+], ids=["verify-parse-error", "kernel-bad-time"])
+def test_input_error_on_a_closed_pipe_exits_two(tmp_path, argv, text):
+    p = tmp_path / "g.txt"
+    p.write_text(text, encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes its error line
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphheat.cli", argv[0], "--graph", str(p), *argv[1:]],
+            stdout=write_end, stderr=write_end, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+
+
 # --- README examples ----------------------------------------------------------
 
 

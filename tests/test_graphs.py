@@ -22,6 +22,7 @@ from graphheat import (
     is_bipartite,
     parse_edge_list,
 )
+from graphheat import graphs
 
 
 # --- parsing ----------------------------------------------------------------
@@ -71,6 +72,30 @@ def test_weights_parsed_exactly():
     assert g.weights[(1, 2)] == Fraction(3, 2)
     assert g.weights[(2, 3)] == Fraction(2)
     assert g.weights[(3, 4)] == Fraction(1)  # missing weight defaults to 1
+
+
+def test_each_weight_literal_is_parsed_once(monkeypatch):
+    texts = []
+
+    class Counting(Fraction):
+        def __new__(cls, value=0, *args):
+            if isinstance(value, str):
+                texts.append(value)
+            return Fraction(value, *args)
+
+    monkeypatch.setattr(graphs, "Fraction", Counting)
+    literals = ["1/2", "2.5", "7"]
+    text = "".join(f"v{i} v{i + 1} {literals[i % 3]}\n" for i in range(1000))
+    g = parse_edge_list(text)
+    assert texts == literals
+    assert [g.weights[(i, i + 1)] for i in range(1000)] == [
+        Fraction(literals[i % 3]) for i in range(1000)
+    ]
+    # the first line of a bad literal is the one reported
+    bad = "a b 2\nb c 3\nc d 0\nd e 2\ne f 3\nf g 2\ng h 0\n"
+    with pytest.raises(WeightError, match="must be positive") as exc_info:
+        parse_edge_list(bad)
+    assert exc_info.value.line == 3
 
 
 def test_parse_self_loop_rejected_with_line():

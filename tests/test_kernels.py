@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -261,6 +262,28 @@ def test_shifted_matrix_has_the_bits_of_the_identity_sum(build):
     assert np.array_equal(P, want)
     assert np.array_equal(np.signbit(P), np.signbit(want))
     assert not P.flags.writeable
+
+
+def test_engine_holds_its_n_squared_buffers_only():
+    # numpy reports its array buffers to tracemalloc; one n x n array of
+    # doubles is the unit
+    g = corpus.random_weighted_gnm(3, 300, 900)
+    unit = 8 * g.n**2
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / unit
+        finally:
+            tracemalloc.stop()
+
+    # P is made in the Kirchhoff array itself, not divided into a second one
+    kernels._latest_shifted_matrix.cache_clear()
+    assert traced_peak(lambda: kernels._latest_shifted_matrix(g)) < 1.1
+    # on a cached P, a pass holds one sum per time, M and a spare
+    for times in ([0.5], [0.1, 0.5, 2.0]):
+        assert traced_peak(lambda: kernel_uniformization(g, times)) < len(times) + 2.1
 
 
 @pytest.mark.parametrize("build, times", _ROW_BLOCK_CASES)

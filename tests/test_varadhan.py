@@ -23,6 +23,7 @@ from graphheat import (
     verify_graph,
     verify_pair,
 )
+from graphheat import varadhan
 
 F = Fraction
 
@@ -419,6 +420,18 @@ def scripted_levels(draw):
 def test_single_pass_matches_two_phase_on_scripted_samples(case):
     t0, levels, value_at = case
     assert_matches_two_phase(lambda t, x, y: value_at[t], 0, 1, t0, levels)
+
+
+@pytest.mark.parametrize("rounds", [2, 4])
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(case=scripted_levels())
+def test_stable_rounds_sets_the_single_pass_window(rounds, case):
+    # the single pass reads STABLE_ROUNDS as the oracle does, not a fixed three
+    t0, levels, value_at = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(varadhan, "STABLE_ROUNDS", rounds)
+        mp.setattr(corpus, "STABLE_ROUNDS", rounds)
+        assert_matches_two_phase(lambda t, x, y: value_at[t], 0, 1, t0, levels)
 
 
 @pytest.mark.parametrize(
