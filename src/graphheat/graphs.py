@@ -168,7 +168,8 @@ def parse_edge_list(text: str) -> Graph:
 
     One edge per line: ``u v`` or ``u v w``.  Vertex names are arbitrary
     whitespace-free tokens, numbered in first-appearance order.  ``#`` starts
-    a comment; blank lines are skipped.  A weight is a decimal literal
+    a comment; blank lines are skipped, and so is one leading byte-order mark
+    (U+FEFF), which some editors write.  A weight is a decimal literal
     (``1.5``) or a ratio (``3/2``) and is parsed exactly — ``1.5`` becomes
     the rational 3/2, never a binary float.
 
@@ -193,7 +194,7 @@ def parse_edge_list(text: str) -> Graph:
             labels.append(name)
         return index[name]
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -105,8 +105,8 @@ def _poisson_series(
     sums = [w * B for w in ws]
     # Two buffers take turns: each product is written into the spare one,
     # and the spare then holds every w * M of that term.  The start block is
-    # the caller's to give up, so it becomes a buffer too.
-    M, spare = B, np.empty_like(B)
+    # the caller's to give up, so it becomes one; the first product makes the other.
+    M, spare = B, None
     del B
     live = range(len(terms))
     k = 0
@@ -158,8 +158,8 @@ def kernel_uniformization(
     ``c`` is the maximum weighted degree — the smallest shift making P
     entrywise nonnegative — so every series term is nonnegative and no
     cancellation occurs.  The neglected Poisson tail carries at most ``eps``
-    of the total mass.  Edgeless graphs (c = 0) short-circuit to the
-    identity, which is the exact kernel there.  Large ``c*t`` is split into
+    of the total mass.  At ``c*t = 0`` (``t = 0`` or an edgeless graph) the
+    sum is its first term, the exact identity.  Large ``c*t`` is split into
     equal semigroup factors to avoid underflow of ``e^{-ct}``; splitting
     preserves nonnegativity since it only multiplies nonnegative matrices.
     A ``c*t`` above ``1e4`` raises :class:`ValueError`.
@@ -192,23 +192,19 @@ def kernel_uniformization(
         rows = list(rows)  # a tuple would index as one (row, column) entry
     kernels: list[np.ndarray] = [None] * len(times)
     shared = []  # (index, c*t) of the times summed in one pass
-    for i, s in enumerate(times):
-        if c == 0.0 or s == 0:
-            kernels[i] = _unit_rows(n, rows)
-            continue
-        ct = c * s
+    cts = [c * s for s in times]
+    P = _latest_shifted_matrix(g) if any(cts) else None  # a sum at c*t = 0 reads no P
+    for i, ct in enumerate(cts):
         steps = max(1, math.ceil(ct / _MAX_POISSON_MEAN))
         if steps == 1:
             shared.append((i, ct))
             continue
-        P = _latest_shifted_matrix(g)
         (factor,) = _poisson_series(P, np.eye(n), [(ct / steps, eps / steps)])
         K = factor if rows is None else factor[rows]
         for _ in range(steps - 1):
             K = K @ factor
         kernels[i] = K
     if shared:
-        P = _latest_shifted_matrix(g)
         sums = _poisson_series(P, _unit_rows(n, rows), [(ct, eps) for _, ct in shared])
         for (i, _), K in zip(shared, sums):
             kernels[i] = K

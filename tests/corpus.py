@@ -171,6 +171,61 @@ def random_weighted_gnm(seed: int, n: int, m: int) -> Graph:
     return Graph(n, edges, weights={e: rng.choice(WEIGHT_POOL) for e in edges})
 
 
+def product_graph(g: Graph, h: Graph) -> Graph:
+    """The Cartesian product ``g □ h``; vertex ``(a, b)`` is ``a * h.n + b``.
+
+    Each g-edge is copied for every b with its g weight, and each h-edge for
+    every a with its h weight, so ``A - D`` is the Kronecker sum of the
+    factors' matrices.  Weighted when either factor is.
+    """
+    m = h.n
+    weights = {}
+    for u, v in g.edges:
+        for b in range(m):
+            weights[(u * m + b, v * m + b)] = 1 if g.weights is None else g.weights[(u, v)]
+    for u, v in h.edges:
+        for a in range(g.n):
+            weights[(a * m + u, a * m + v)] = 1 if h.weights is None else h.weights[(u, v)]
+    weighted = g.is_weighted or h.is_weighted
+    return Graph(g.n * m, list(weights), weights=weights if weighted else None)
+
+
+def small_factor(kind: str, n: int, seed: int, weighted: bool) -> Graph:
+    """A corpus graph of ``n`` vertices (a cycle has ``n + 2``) for product
+    properties: the bipartite one may be split; ``weighted`` draws each
+    weight from :data:`WEIGHT_POOL`."""
+    if kind == "path":
+        g = path_graph(n)
+    elif kind == "cycle":
+        g = cycle_graph(n + 2)
+    elif kind == "complete":
+        g = complete_graph(n)
+    elif kind == "star":
+        g = star_graph(n - 1)
+    elif kind == "connected":
+        g = random_connected_graph(seed, n, 0.5)
+    else:
+        g = random_bipartite_graph(seed, n // 2, n - n // 2, 0.5)
+    if not weighted:
+        return g
+    rng = random.Random(seed)
+    return Graph(g.n, g.edges, weights={e: rng.choice(WEIGHT_POOL) for e in g.edges})
+
+
+def small_factors():
+    """Hypothesis strategy: :func:`small_factor` of any kind, 1 to 4 vertices
+    (a cycle 3 to 6), with or without weights."""
+    from hypothesis import strategies as st
+
+    return st.builds(
+        small_factor,
+        st.sampled_from(("path", "cycle", "complete", "star", "connected", "bipartite")),
+        st.integers(1, 4),
+        st.integers(0, 2**16),
+        st.booleans(),
+    )
+
+
 def edge_list_text(g: Graph) -> str:
     """``g`` as an edge-list file, one ``u v [weight]`` line per edge."""
     if g.weights is None:
@@ -278,12 +333,14 @@ def poisson_series_one_time(P, B, ct: float, eps: float):
 def kernel_uniformization_one_time(g: Graph, t: float, eps: float, rows=None):
     """Oracle for ``kernel_uniformization``: one time, in a Poisson pass of its own.
 
-    Splits a ``c*t`` above the engine's largest Poisson mean into equal
-    semigroup factors and symmetrizes a full kernel, as the engine does.
+    Builds its own P, and returns the identity at ``c*t = 0`` without a
+    Poisson sum, where the engine sums the first term alone.  Splits a
+    ``c*t`` above the engine's largest Poisson mean into equal semigroup
+    factors and symmetrizes a full kernel, as the engine does.
     """
     import numpy as np
 
-    from graphheat import kernels
+    from graphheat import kernels, kirchhoff_matrix
 
     n = g.n
     c = g.max_weighted_degree()
@@ -291,7 +348,7 @@ def kernel_uniformization_one_time(g: Graph, t: float, eps: float, rows=None):
         rows = list(rows)
     if c == 0.0 or t == 0:
         return kernels._unit_rows(n, rows)
-    P = kernels._latest_shifted_matrix(g)
+    P = kirchhoff_matrix(g).dense / c + np.eye(n)  # not the engine's cached P
     ct = c * t
     steps = max(1, math.ceil(ct / kernels._MAX_POISSON_MEAN))
     if steps == 1:

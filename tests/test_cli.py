@@ -868,6 +868,18 @@ def test_paths_unreachable(capsys, two_component_file):
     assert out.splitlines()[1] == "a,e,unreachable,0"
 
 
+def test_bom_prefixed_graph_file_prints_the_paths_of_the_plain_file(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text("a b\nb c\n", encoding="utf-8")
+    marked.write_text("\ufeffa b\nb c\n", encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfa b")
+    for pair in ([], ["--pair", "a", "c"]):
+        want = run_cli(capsys, ["paths", "--graph", str(plain), *pair])
+        assert run_cli(capsys, ["paths", "--graph", str(marked), *pair]) == want
+        assert want[0] == 0 and want[2] == ""
+    assert want[1].splitlines() == ["x,y,d,count", "a,c,2,1"]
+
+
 # --- bipartite ---------------------------------------------------------------
 
 

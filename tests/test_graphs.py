@@ -64,6 +64,26 @@ def test_comments_and_blank_lines_skipped():
     assert len(g.edges) == 2
 
 
+def test_one_leading_byte_order_mark_is_dropped():
+    # Windows editors start a UTF-8 file with U+FEFF; it is not part of a label
+    g = parse_edge_list("\ufeffa b\nb c\n")
+    assert g.labels == ("a", "b", "c")
+    assert g.edges == parse_edge_list("a b\nb c\n").edges
+
+
+@pytest.mark.parametrize(
+    "text, labels",
+    [
+        ("a b\n\ufeffb c\n", ("a", "b", "\ufeffb", "c")),
+        ("a \ufeffb\n", ("a", "\ufeffb")),
+        ("\ufeff\ufeffa b\n", ("\ufeffa", "b")),
+    ],
+    ids=["second-line", "second-label", "second-mark"],
+)
+def test_a_byte_order_mark_elsewhere_stays_in_its_label(text, labels):
+    assert parse_edge_list(text).labels == labels
+
+
 def test_weights_parsed_exactly():
     # decimal literals go through exact decimal parsing, not binary floats
     g = parse_edge_list("a b 1.5\nb c 3/2\nc d 2\nd e\n")

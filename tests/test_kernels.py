@@ -284,6 +284,30 @@ def test_engine_holds_its_n_squared_buffers_only():
     # on a cached P, a pass holds one sum per time, M and a spare
     for times in ([0.5], [0.1, 0.5, 2.0]):
         assert traced_peak(lambda: kernel_uniformization(g, times)) < len(times) + 2.1
+    # a pass whose every c*t is 0 stops before its first product, so it makes
+    # no spare: one sum per time and the start block, then one symmetrized copy
+    for graph, times in ((g, [0.0, 0.0]), (Graph(g.n), [0.5, 2.0])):
+        assert traced_peak(lambda: kernel_uniformization(graph, times)) < 3.1
+
+
+def test_zero_times_build_no_kirchhoff_matrix(monkeypatch):
+    # a sum at c*t = 0 stops at its first term, 1.0 * I, and reads no P
+    calls = []
+    real = kernels.kirchhoff_matrix
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(kernels, "kirchhoff_matrix", counting)
+    kernels._latest_shifted_matrix.cache_clear()
+    g = corpus.random_weighted_graph(1, 12, 0.3)
+    assert g.max_weighted_degree() > 0
+    for K in kernel_uniformization(g, [0.0, 0.0]):
+        assert np.array_equal(K, np.eye(g.n))
+        assert not np.signbit(K).any()
+    assert np.array_equal(kernel_uniformization(g, 0.0, rows=[3, 0]), np.eye(g.n)[[3, 0]])
+    assert calls == []
 
 
 @pytest.mark.parametrize("build, times", _ROW_BLOCK_CASES)
@@ -338,6 +362,19 @@ def test_shared_pass_has_the_bits_of_one_pass_per_time(name, times, eps, rows):
         assert np.array_equal(K, want)
         assert not K.flags.writeable
         assert np.array_equal(kernel_uniformization(g, t, eps, rows), want)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    g=corpus.small_factors(),
+    h=corpus.small_factors(),
+    t=st.sampled_from((0.0, 0.05, 0.7, 3.0)),
+)
+def test_product_kernel_is_the_kronecker_product_of_the_factors(g, h, t):
+    # A - D of the product is the Kronecker sum of the factors', so p_t factors
+    want = np.kron(kernel_uniformization(g, t), kernel_uniformization(h, t))
+    got = kernel_uniformization(corpus.product_graph(g, h), t)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
 def test_shared_pass_checks_each_time_in_turn():

@@ -18,6 +18,7 @@ from graphheat import (
     bfs_profile,
     estimate_pair,
     kernel_taylor_coefficient,
+    kernel_uniformization,
     spectral_sampler,
     uniformization_sampler,
     verify_graph,
@@ -168,6 +169,50 @@ def test_weighted_leading_unreachable():
     assert profile.dist[2] is None and profile.geodesic_weight[2] == 0
     with pytest.raises(UnreachableError):
         verify_pair(g, 0, 2)
+
+
+# --- the non-asymptotic bound --------------------------------------------------
+
+
+_BOUND_TIMES = (1e-3, 1e-2, 0.05, 0.2)
+
+
+@st.composite
+def bound_graphs(draw):
+    """A corpus graph: connected, weighted, bipartite (often split), a tree, or
+    the product of two small factors."""
+    kind = draw(st.sampled_from(("connected", "weighted", "bipartite", "tree", "product")))
+    seed = draw(st.integers(0, 2**16))
+    n = draw(st.integers(2, 12))
+    if kind == "connected":
+        return corpus.random_connected_graph(seed, n, 0.35)
+    if kind == "weighted":
+        return corpus.random_weighted_graph(seed, n, 0.35)
+    if kind == "bipartite":
+        return corpus.random_bipartite_graph(seed, n // 2, n - n // 2, 0.4)
+    if kind == "tree":
+        return corpus.random_tree(seed, n)
+    return corpus.product_graph(draw(corpus.small_factors()), draw(corpus.small_factors()))
+
+
+@settings(deadline=None, max_examples=80, derandomize=True)
+@given(bound_graphs())
+def test_leading_read_is_within_the_non_asymptotic_bound(g):
+    # p_t(x, y) = sum_{k >= d} t^k/k! ((A - D)^k)[x, y], whose d-th term is
+    # N t^d/d!; with |((A - D)^k)[x, y]| <= (2c)^k and d!/(d+j)! <= 1/((d+1) j!),
+    # |d! p_t / t^d - N| <= (2c)^d (e^{2ct} - 1)/(d + 1)
+    c = g.max_weighted_degree()
+    kernels = kernel_uniformization(g, _BOUND_TIMES, eps=1e-250)
+    for x in range(g.n):
+        profile = bfs_profile(g, x)
+        for y, d in enumerate(profile.dist):
+            if d is None:
+                continue
+            N = float(profile.geodesic_weight[y])
+            for t, K in zip(_BOUND_TIMES, kernels):
+                error = abs(math.factorial(d) * K[x, y] / t**d - N)
+                bound = (2 * c) ** d * math.expm1(2 * c * t) / (d + 1)
+                assert error <= bound * (1 + 1e-9) + 1e-12 * N
 
 
 # --- distance recovery -------------------------------------------------------
