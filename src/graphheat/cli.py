@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import os
 import sys
 from collections.abc import Generator, Iterable, Iterator
@@ -116,12 +114,10 @@ def _resolve_pairs(
 def _csv_fields(labels: Iterable[str]) -> list[str]:
     """Each label as ``csv.writer`` writes it as one field of a row.
 
-    Each is written in a row of two, "<field>,": a lone empty field would
-    print as "".  Parsed labels hold no line break to split on.
+    Parsed labels hold no whitespace, so no line break: ``csv.writer`` then
+    quotes a label only for a ``,`` or a ``"``, and doubles each ``"``.
     """
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows((v, "") for v in labels)
-    return [line[:-1] for line in buf.getvalue().split("\n")[:-1]]
+    return ['"' + v.replace('"', '""') + '"' if "," in v or '"' in v else v for v in labels]
 
 
 # --- subcommand implementations ----------------------------------------------

@@ -3,7 +3,9 @@
 Vertices are dense integer indices ``0 .. n-1``.  External names live in
 ``Graph.labels`` (first-appearance order when parsed from an edge list).
 All combinatorial quantities here are exact: counts are Python integers,
-weights are :class:`fractions.Fraction`.
+weights are :class:`fractions.Fraction`.  ``fractions`` (and its ``decimal``
+backend) loads at the first weighted use, so an unweighted graph never loads
+it.
 
 Result records, :class:`DistanceProfile` here, are named tuples: read by
 field name, index or unpacking, and never assigned to.
@@ -15,7 +17,6 @@ import functools
 import math
 from collections import deque, namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from fractions import Fraction
 
 from .errors import (
     DuplicateEdgeError,
@@ -24,6 +25,34 @@ from .errors import (
     UnknownVertexError,
     WeightError,
 )
+
+# The annotations are never evaluated, so ``fractions`` loads only for a type
+# checker or through _fraction.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def _fraction() -> type[Fraction]:
+    """``fractions.Fraction``, imported at the first weighted use.
+
+    It is bound as this module's global ``Fraction`` and read from there at
+    every later use, so rebinding ``graphs.Fraction`` reaches every caller.
+    """
+    global Fraction
+    try:
+        return Fraction
+    except NameError:
+        from fractions import Fraction
+
+        return Fraction
+
+
+def __getattr__(name: str):
+    # ``graphs.Fraction`` stays readable before the first weighted use.
+    if name == "Fraction":
+        return _fraction()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Graph:
@@ -97,6 +126,7 @@ class Graph:
 
         wmap: dict[tuple[int, int], Fraction] | None = None
         if weights is not None:
+            Fraction = _fraction()
             wmap = {}
             for (u, v), w in weights.items():
                 key = (u, v) if u < v else (v, u)
@@ -145,7 +175,7 @@ class Graph:
         """Sum of incident edge weights (== degree when unweighted)."""
         if self.weights is None:
             return self._ideg[v]
-        return Fraction(self._ideg[v], self.weight_scale)
+        return _fraction()(self._ideg[v], self.weight_scale)
 
     def max_weighted_degree(self) -> float:
         # Every degree is an integer over weight_scale: one correctly rounded division.
@@ -225,7 +255,7 @@ def parse_edge_list(text: str) -> Graph:
                 L = len(mantissa)
                 try:
                     huge = e and not -(L + 324) <= int(exponent) <= L + 309
-                    w = Fraction(mantissa + "e0" if huge else parts[2])
+                    w = _fraction()(mantissa + "e0" if huge else parts[2])
                 except (ValueError, ZeroDivisionError):
                     raise WeightError(f"cannot parse weight {parts[2]!r}", lineno) from None
                 if w.numerator <= 0:
@@ -308,6 +338,7 @@ def bfs_profile(g: Graph, source: int) -> DistanceProfile:
                 weight[u] += weight[v] * w
     if not g.is_weighted:
         return DistanceProfile(tuple(dist), tuple(count), tuple(count))
+    Fraction = _fraction()
     geodesic_weight = tuple(
         Fraction(wv, g.weight_scale**dv) if dv else wv for wv, dv in zip(weight, dist)
     )

@@ -190,6 +190,17 @@ def product_graph(g: Graph, h: Graph) -> Graph:
     return Graph(g.n * m, list(weights), weights=weights if weighted else None)
 
 
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """``g`` beside ``h``, no edge between them; vertex ``b`` of ``h`` is
+    ``g.n + b``.  Weighted when either part is."""
+    weights = {}
+    for part, offset in ((g, 0), (h, g.n)):
+        for u, v in part.edges:
+            weights[(offset + u, offset + v)] = 1 if part.weights is None else part.weights[(u, v)]
+    weighted = g.is_weighted or h.is_weighted
+    return Graph(g.n + h.n, list(weights), weights=weights if weighted else None)
+
+
 def small_factor(kind: str, n: int, seed: int, weighted: bool) -> Graph:
     """A corpus graph of ``n`` vertices (a cycle has ``n + 2``) for product
     properties: the bipartite one may be split; ``weighted`` draws each

@@ -10,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpus
 from graphheat import VaradhanReport, bfs_profile, parse_edge_list
@@ -171,6 +173,7 @@ _QUOTED_SPLIT = 'a,b q"x\nq"x p\nr s 1/2\n'
 _QUOTED_PAIRS = [('q"x', "a,b"), ("p", "p"), ("a,b", "p")]
 
 
+@pytest.mark.numpy_free
 @pytest.mark.parametrize("text", [_QUOTED_LABELS, _QUOTED_SPLIT], ids=["triangle", "split"])
 @pytest.mark.parametrize("subcommand", ["spectrum", "series", "verify", "verify-pairs",
                                         "paths", "bipartite"])
@@ -319,7 +322,7 @@ _STREAMING_ERRORS = [
     pytest.param(["estimate", "--method", "uniformization", "--t0", "1e5"],
                  id="estimate-uniformization-huge-t0"),
     pytest.param(["verify", "--pair", "a", "c", "--pair", "a", "zz"],
-                 id="verify-unknown-second-label"),
+                 id="verify-unknown-second-label", marks=pytest.mark.numpy_free),
 ]
 
 
@@ -366,10 +369,11 @@ def test_kernel_memory_does_not_grow_with_the_row_count(tmp_path, method):
     assert len(report.read_text(encoding="utf-8").splitlines()) == 1 + g.n * (g.n + 1)
 
 
+@pytest.mark.numpy_free
 @pytest.mark.parametrize("subcommand", ["series", "paths"])
 def test_series_and_paths_memory_does_not_grow_with_the_row_count(tmp_path, subcommand):
-    # the numpy-free CI job runs this too; built all at once, the rows took
-    # about 117 (series) and 19 (paths) x 8 n^2 bytes
+    # built all at once, the rows took about 117 (series) and 19 (paths)
+    # x 8 n^2 bytes
     g = corpus.grid_graph(10, 10)
     p = tmp_path / "grid10.txt"
     p.write_text(corpus.edge_list_text(g), encoding="utf-8")
@@ -380,13 +384,13 @@ def test_series_and_paths_memory_does_not_grow_with_the_row_count(tmp_path, subc
     assert len(report.read_text(encoding="utf-8").splitlines()) == 1 + rows
 
 
+@pytest.mark.numpy_free
 @pytest.mark.parametrize(
     "rows, cols, two", [(10, 10, False), (7, 7, True)], ids=["grid10", "two-grids7"]
 )
 def test_verify_memory_does_not_grow_with_the_pair_count(tmp_path, rows, cols, two):
-    # the numpy-free CI job runs this too; built all at once, the reports
-    # and the skipped pairs took about 48 (grid10) and 30 (two-grids7) x 8 n^2
-    # bytes
+    # built all at once, the reports and the skipped pairs took about 48
+    # (grid10) and 30 (two-grids7) x 8 n^2 bytes
     g = corpus.interleaved_grids(rows, cols) if two else corpus.grid_graph(rows, cols)
     p = tmp_path / "graph.txt"
     p.write_text(corpus.edge_list_text(g), encoding="utf-8")
@@ -482,6 +486,7 @@ def golden_argv(graph: str, argv: tuple[str, ...]) -> list[str]:
     return [argv[0], "--graph", str(GOLDEN / f"{graph}.txt"), *argv[1:]]
 
 
+@pytest.mark.numpy_free
 @pytest.mark.parametrize("graph, argv, golden", _WEIGHTED_GOLDEN)
 def test_weighted_output_matches_golden_bytes(capsys, graph, argv, golden):
     code, out, _ = run_cli(capsys, golden_argv(graph, argv))
@@ -491,7 +496,7 @@ def test_weighted_output_matches_golden_bytes(capsys, graph, argv, golden):
 
 # With "blocked", numpy is unimportable: a None entry in sys.modules makes
 # every ``import numpy`` raise ImportError.  Either way the child reports on
-# stderr which of numpy, dataclasses and inspect were loaded by the time
+# stderr which of numpy, dataclasses, inspect and csv were loaded by the time
 # main() returned; the exact subcommands need none of them.
 _NUMPY_FREE_CHILD = """\
 import sys
@@ -499,12 +504,13 @@ if sys.argv[1] == "blocked":
     sys.modules["numpy"] = None
 from graphheat.cli import main
 code = main(sys.argv[2:])
-loaded = [m for m in ("numpy", "dataclasses", "inspect") if sys.modules.get(m)]
+loaded = [m for m in ("numpy", "dataclasses", "inspect", "csv") if sys.modules.get(m)]
 print(loaded, file=sys.stderr)
 sys.exit(code)
 """
 
 
+@pytest.mark.numpy_free
 @pytest.mark.parametrize("mode", ["blocked", "unblocked"])
 @pytest.mark.parametrize("graph, argv, golden", _WEIGHTED_GOLDEN)
 def test_exact_subcommands_run_without_numpy(graph, argv, golden, mode):
@@ -520,14 +526,16 @@ def test_exact_subcommands_run_without_numpy(graph, argv, golden, mode):
         assert proc.stderr == "[]\n"
 
 
+@pytest.mark.numpy_free
 def test_cli_import_stays_lean_without_site():
     # -S keeps site-packages' .pth files from importing modules of their own;
     # what is left is what ``import graphheat.cli`` itself costs every call.
     # Each command imports the package modules it runs when it runs.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    heavy = ("dataclasses", "inspect", "pathlib", "typing", "numpy", "graphheat.series",
-             "graphheat.verification", "graphheat.varadhan", "graphheat.float_commands")
+    heavy = ("dataclasses", "inspect", "pathlib", "typing", "numpy", "fractions", "decimal",
+             "csv", "graphheat.series", "graphheat.verification", "graphheat.varadhan",
+             "graphheat.float_commands")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys, graphheat.cli; print([m for m in {heavy!r} if m in sys.modules])"],
@@ -535,6 +543,56 @@ def test_cli_import_stays_lean_without_site():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# The child reports on stderr which of the exact-rational and CSV modules
+# main() loaded; on an unweighted graph only series and verify need
+# ``fractions`` (and with it ``decimal``), and no command needs ``csv``.
+_EXACT_FREE_CHILD = """\
+import sys
+from graphheat.cli import main
+code = main(sys.argv[1:])
+print([m for m in ("fractions", "decimal", "csv") if m in sys.modules], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("spectrum",), id="spectrum"),
+    pytest.param(("kernel", "--t", "0.5"), id="kernel"),
+    pytest.param(("kernel", "--t", "0.5", "--method", "uniformization", "--pair", "a0", "b2"),
+                 id="kernel-uniformization-pair"),
+    pytest.param(("estimate", "--pair", "a0", "b2"), id="estimate-pair"),
+    pytest.param(("estimate", "--method", "uniformization"), id="estimate-uniformization"),
+    pytest.param(("paths",), id="paths", marks=pytest.mark.numpy_free),
+    pytest.param(("bipartite",), id="bipartite", marks=pytest.mark.numpy_free),
+])
+def test_unweighted_calls_load_no_fractions_decimal_or_csv(capsys, grid_file, argv):
+    argv = [argv[0], "--graph", grid_file, *argv[1:]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXACT_FREE_CHILD, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
+    assert proc.stdout == run_cli(capsys, argv)[1]
+
+
+@pytest.mark.numpy_free
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.text(st.sampled_from(',"a') | st.characters(exclude_characters="\x00")
+                        .filter(lambda c: not c.isspace()))))
+def test_labels_are_quoted_as_csv_writer_writes_them(labels):
+    # a parsed label has no whitespace (csv.writer before Python 3.11 cannot
+    # write NUL); each one is written in a row of two, "<field>,", since a
+    # lone empty field would print as ""
+    import csv
+    import io
+
+    want = io.StringIO()
+    csv.writer(want, lineterminator="\n").writerows((v, "") for v in labels)
+    assert "".join(f"{field},\n" for field in cli._csv_fields(labels)) == want.getvalue()
 
 
 # --- verify ------------------------------------------------------------------
@@ -570,6 +628,7 @@ def test_verify_explicit_unreachable_pair(capsys, two_component_file):
     assert out.splitlines()[1] == "a,e,unreachable,,,,,,na,na,na"
 
 
+@pytest.mark.numpy_free
 def test_verify_failure_sets_exit_one(capsys, grid_file, monkeypatch):
     real = verification._make_report
     monkeypatch.setattr(
@@ -580,6 +639,7 @@ def test_verify_failure_sets_exit_one(capsys, grid_file, monkeypatch):
     assert "fail" in out
 
 
+@pytest.mark.numpy_free
 def test_verify_failure_in_the_middle_writes_every_row(capsys, tmp_path, monkeypatch):
     # the rows stream, so the one failing verdict is seen only after the
     # rows before it are written; all rows follow it, then exit 1
@@ -619,6 +679,7 @@ def test_verify_failure_in_the_middle_writes_every_row(capsys, tmp_path, monkeyp
     assert report.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.numpy_free
 def test_verify_rows_keep_the_pairwise_order(capsys, tmp_path):
     # the labels alternate between the two components: connected pairs come
     # first, x-major and y-ascending in the file's vertex order, then the
@@ -868,6 +929,7 @@ def test_paths_unreachable(capsys, two_component_file):
     assert out.splitlines()[1] == "a,e,unreachable,0"
 
 
+@pytest.mark.numpy_free
 def test_bom_prefixed_graph_file_prints_the_paths_of_the_plain_file(capsys, tmp_path):
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
     plain.write_text("a b\nb c\n", encoding="utf-8")
@@ -1112,7 +1174,10 @@ def test_bad_eps_value(capsys, grid_file):
     assert "eps" in err
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["kernel", "--t", "0.5"]], ids=["verify", "kernel"])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["verify"], id="verify", marks=pytest.mark.numpy_free),
+    pytest.param(["kernel", "--t", "0.5"], id="kernel"),
+])
 def test_closed_pipe_exits_two(tmp_path, argv):
     # `graphheat verify ... 2>&1 | head -1`: stdout and stderr share one pipe,
     # closed after the first line, so the error line has nowhere to go either.
@@ -1135,9 +1200,11 @@ def test_closed_pipe_exits_two(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, text", [
-    (["verify"], "a b\nb c 0\n"),  # a parse error names the file
-    (["kernel", "--t", "-1"], "a b\n"),
-], ids=["verify-parse-error", "kernel-bad-time"])
+    # a parse error names the file
+    pytest.param(["verify"], "a b\nb c 0\n", id="verify-parse-error",
+                 marks=pytest.mark.numpy_free),
+    pytest.param(["kernel", "--t", "-1"], "a b\n", id="kernel-bad-time"),
+])
 def test_input_error_on_a_closed_pipe_exits_two(tmp_path, argv, text):
     p = tmp_path / "g.txt"
     p.write_text(text, encoding="utf-8")

@@ -377,6 +377,27 @@ def test_product_kernel_is_the_kronecker_product_of_the_factors(g, h, t):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(
+    g=corpus.small_factors(),
+    h=corpus.small_factors(),
+    t=st.sampled_from((0.0, 0.05, 0.7, 3.0)),
+)
+def test_disjoint_union_kernel_is_block_diagonal(g, h, t):
+    # No walk joins the parts.  Uniformization's P is block diagonal, so its
+    # cross blocks stay exact zeros; spectral synthesis cancels them to
+    # rounding.  Each diagonal block is the part's own kernel.
+    n = g.n
+    union = corpus.disjoint_union(g, h)
+    U, S = kernel_uniformization(union, t), spectral(union, t)
+    assert not U[:n, n:].any() and not U[n:, :n].any()
+    assert np.abs(S[:n, n:]).max(initial=0.0) <= 1e-12
+    assert np.abs(S[n:, :n]).max(initial=0.0) <= 1e-12
+    for K, engine in ((U, kernel_uniformization), (S, spectral)):
+        np.testing.assert_allclose(K[:n, :n], engine(g, t), rtol=0, atol=1e-11)
+        np.testing.assert_allclose(K[n:, n:], engine(h, t), rtol=0, atol=1e-11)
+
+
 def test_shared_pass_checks_each_time_in_turn():
     # the error of the first bad time, with the eps check after its time check
     g = corpus.path_graph(3)

@@ -4,16 +4,23 @@ On ``G □ H`` the matrix ``A - D`` is the Kronecker sum of the factors'
 matrices, so distances add, geodesics multiply, the Taylor coefficients of
 ``p_t`` are the Cauchy product of the factors' coefficients, and the product
 is bipartite exactly when both factors are.  Every check here is exact.
-This module imports no numpy.
+The CLI's exact reports are checked on them too: renumbering the vertices
+only reorders the rows.  This module imports no numpy.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
 from graphheat import bfs_profile, is_bipartite, series_prefix, verify_graph
+from graphheat.cli import main
+
+pytestmark = pytest.mark.numpy_free
 
 factors = corpus.small_factors()
 
@@ -78,3 +85,43 @@ def test_product_verifies_every_pair(g, h):
     summary = verify_graph(gh)
     assert all(r.passed for r in summary.reports)
     assert len(summary.reports) + len(summary.skipped) == gh.n * (gh.n - 1) // 2
+
+
+def _rows_by_label_pair(subcommand: str, text: str, rename: dict[str, str]):
+    """Exit status, header and the rows of one call, each row's label pair
+    renamed and sorted, so that rows compare whatever order they print in."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, report = Path(tmp) / "graph.txt", Path(tmp) / "report.csv"
+        graph.write_text(text, encoding="utf-8")
+        code = main([subcommand, "--graph", str(graph), "--output", str(report)])
+        header, *lines = report.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines:
+        x, y, *rest = line.split(",")
+        rows.append((*sorted((rename.get(x, x), rename.get(y, y))), *rest))
+    return code, header, sorted(rows)
+
+
+@settings(deadline=None, max_examples=30, derandomize=True)
+@given(factors, factors, st.randoms(use_true_random=False))
+def test_relabelling_permutes_the_rows(g, h, rnd):
+    # New names in shuffled lines, each edge either way round, renumber the
+    # vertices (they are numbered in first-appearance order), so the rows
+    # print in another order; keyed by the unordered label pair, each keeps
+    # its values.  bipartite is left out: each component's lowest index gets
+    # colour 0, so its classes may swap.
+    gh = corpus.product_graph(g, h)
+    names = [f"v{i}" for i in range(gh.n)]
+    rnd.shuffle(names)
+    lines = []
+    for u, v in gh.edges:
+        a, b = (names[u], names[v]) if rnd.random() < 0.5 else (names[v], names[u])
+        lines.append(f"{a} {b}" + ("" if gh.weights is None else f" {gh.weights[(u, v)]}"))
+    rnd.shuffle(lines)
+    relabelled = "".join(f"{line}\n" for line in lines)
+    text = corpus.edge_list_text(gh)  # the labels are the vertex numbers
+    rename = {str(u): name for u, name in enumerate(names)}
+    for subcommand in ("series", "verify", "paths"):
+        assert _rows_by_label_pair(subcommand, relabelled, {}) == (
+            _rows_by_label_pair(subcommand, text, rename)
+        )

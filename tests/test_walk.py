@@ -7,12 +7,15 @@ source.  This module imports no numpy.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
 from graphheat import Graph, bfs_profile, parse_edge_list, series, verification, walk_vectors
 from graphheat.cli import main
+
+pytestmark = pytest.mark.numpy_free
 
 
 @st.composite
