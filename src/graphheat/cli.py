@@ -3,7 +3,7 @@
 Every subcommand reads one graph file, writes one CSV report (stdout by
 default), and exits 0 on success, 1 when a verification verdict failed, or
 2 on input errors or a closed stdout.  Input errors include a non-finite
-``--t``, ``--t0`` or ``--eps``, an ``--eps`` without ``--method
+``--t``, ``--t0`` or ``--eps``, a ``kernel --eps`` without ``--method
 uniformization``, and a uniformization ``kernel`` whose ``c*t`` (largest
 weighted degree times time) exceeds the engine's cap.  Output is deterministic
 byte-for-byte for a fixed input, flag set and BLAS thread count: orderings
@@ -65,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="T", help="evaluation time (repeatable)")
     p.add_argument("--method", choices=("spectral", "uniformization"), default="spectral")
     p.add_argument("--eps", type=float, default=None,
-                   help="uniformization only: tail bound (default 1e-12)")
+                   help="uniformization only: bound on the absolute Poisson tail mass left "
+                   "out of each row; an entry below it can print 0.0 (default 1e-12)")
 
     _subcommand(sub, "spectrum", "Laplacian eigenvalues, ascending", pairs=False)
 
@@ -81,8 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest sample time (default min(0.1, 1/(2 max degree)))")
     p.add_argument("--levels", type=int, default=16,
                    help="number of dyadic refinement levels (default 16)")
-    p.add_argument("--eps", type=float, default=None,
-                   help="uniformization only: sampler tail bound (default: positivity floor)")
 
     _subcommand(sub, "paths", "distance and geodesic count per pair")
 

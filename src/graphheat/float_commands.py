@@ -85,13 +85,12 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
     pairs = _resolve_pairs(g, args.pair, include_diagonal=False)
     varadhan.check_schedule(t0, args.levels)  # also on a graph without pairs
     # Every input is checked before a sampler is made: the spectral one
-    # decomposes the graph at once, and the uniformization one checks its
-    # eps and the c*t of its largest time, t0.
+    # decomposes the graph at once, and the uniformization one checks the
+    # c*t of its largest time, t0.
     if args.method == "spectral":
         sampler = varadhan.spectral_sampler(g)
     else:  # its kernels are summed at the times estimate_pair reads
-        eps = varadhan.POSITIVITY_FLOOR if args.eps is None else args.eps
-        sampler = varadhan.uniformization_sampler(g, eps, varadhan._dyadic_times(t0, args.levels))
+        sampler = varadhan.uniformization_sampler(g, varadhan._dyadic_times(t0, args.levels))
     labels = _csv_fields(g.labels)
     fmt_t = functools.cache(_fmt_float)  # rows share the few dyadic times
     yield "x,y,d_hat,N_hat,t_used,converged\n"

@@ -220,28 +220,25 @@ def spectral_sampler(g: Graph) -> Sampler:
     return _kernel_sampler(lambda ts: [kernel_spectral(dec, t) for t in ts])
 
 
-def uniformization_sampler(
-    g: Graph, eps: float = POSITIVITY_FLOOR, times: Iterable[float] = ()
-) -> Sampler:
+def uniformization_sampler(g: Graph, times: Iterable[float] = ()) -> Sampler:
     """Cancellation-free sampler; kernels are cached per t.
 
-    The default truncation is pushed down to the positivity floor so that a
-    zero sample really means "no walk of any retained length connects the
-    pair" — with a loose eps, short times would truncate the series before
-    order d and report false zeros.
+    Each Poisson series is summed until its tail mass is below
+    :data:`POSITIVITY_FLOOR`, the line at which :func:`estimate_pair` calls
+    a sample dead: a looser truncation would cut the series of a short time
+    off before order d and make a reachable pair's samples false zeros.
 
     ``times`` is the schedule the caller reads from its start, such as the
-    dyadic times of :func:`estimate_pair`; ``eps`` and the engine's ``c*t``
-    limit at the largest of them are checked here, before any sample.
+    dyadic times of :func:`estimate_pair`; the engine's ``c*t`` limit at the
+    largest of them is checked here, before any sample.
     Its kernels are summed in blocks of levels ``j .. 2j + 1``, each block in
     one Poisson pass (see :func:`graphheat.kernels.kernel_uniformization`),
     so the levels read cost about ``log2(levels)`` passes and at most twice
     their number in held kernels.  Every kernel has the bits of a pass of
     its own.
     """
-    from .kernels import _check_ct, _check_eps, kernel_uniformization
+    from .kernels import _check_ct, kernel_uniformization
 
     times = tuple(times)
-    _check_eps(eps)
     _check_ct(g.max_weighted_degree(), max(times, default=0.0))
-    return _kernel_sampler(lambda ts: kernel_uniformization(g, ts, eps), times)
+    return _kernel_sampler(lambda ts: kernel_uniformization(g, ts, POSITIVITY_FLOOR), times)

@@ -201,6 +201,12 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph(g.n + h.n, list(weights), weights=weights if weighted else None)
 
 
+def scaled_graph(g: Graph, factor: Fraction) -> Graph:
+    """``g`` with every edge weight multiplied by ``factor``; always weighted."""
+    weights = {e: factor * (1 if g.weights is None else g.weights[e]) for e in g.edges}
+    return Graph(g.n, g.edges, weights=weights)
+
+
 def small_factor(kind: str, n: int, seed: int, weighted: bool) -> Graph:
     """A corpus graph of ``n`` vertices (a cycle has ``n + 2``) for product
     properties: the bipartite one may be split; ``weighted`` draws each
@@ -306,6 +312,48 @@ def adjacency_power_entry(g: Graph, k: int, x: int, y: int):
     for _ in range(k):
         vec = adjacency_apply(g, vec)
     return vec[y]
+
+
+def second_order_walk_weights(g: Graph, x: int) -> tuple[list, list]:
+    """``(W, S)`` per vertex y, with ``(A - D)^{d+1}[x, y] = W[y] - S[y]`` at
+    ``d = d(x, y)``, in exact Fractions; ``None`` where y is unreachable.
+
+    A walk of length d + 1 from x to y either stays put once on a geodesic,
+    a step of weight ``-deg(v)``, or takes one edge inside a BFS layer; it
+    has no room to step back.  So with ``G`` the geodesic weight, one layer
+    pass computes ``S(v) = sum_parents w * S(u) + deg(v) * G(v)`` and
+    ``W(v) = sum_parents w * W(u) + sum_same_layer w * G(u)``, O(m) in all.
+    Built from ``g.edges`` and the rational weight map alone.
+    """
+    nbrs: list[list] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        w = Fraction(1 if g.weights is None else g.weights[(u, v)])
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+    dist: list[int | None] = [None] * g.n
+    G, S, W = ([Fraction(0)] * g.n for _ in range(3))
+    dist[x], G[x] = 0, Fraction(1)
+    layer = [x]
+    while layer:
+        # G, S and W of this layer have every parent's share; add its own.
+        for v in layer:
+            S[v] += sum(w for _, w in nbrs[v]) * G[v]
+            W[v] += sum(w * G[u] for u, w in nbrs[v] if dist[u] == dist[v])
+        below = []
+        for v in layer:
+            for u, w in nbrs[v]:
+                if dist[u] is None:
+                    dist[u] = dist[v] + 1
+                    below.append(u)
+                if dist[u] == dist[v] + 1:
+                    G[u] += w * G[v]
+                    S[u] += w * S[v]
+                    W[u] += w * W[v]
+        layer = below
+    return (
+        [None if d is None else w for w, d in zip(W, dist)],
+        [None if d is None else s for s, d in zip(S, dist)],
+    )
 
 
 def horner(coeffs: Sequence, t):

@@ -1,7 +1,9 @@
 """CSV command-line surface: schemas, golden rows, exit codes, determinism."""
 
+import argparse
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -1073,8 +1075,6 @@ _PATH_AC = ("--pair", "a", "c")
                      "t0 must be finite", id="estimate-t0-inf"),
         pytest.param("a b\nb c\n", ["estimate", *_PATH_AC, "--t0", "nan"],
                      "t0 must be finite", id="estimate-t0-nan"),
-        pytest.param("a b\nb c\n", ["estimate", *_PATH_AC, *_UNIF, "--eps", "inf"],
-                     "eps must be finite", id="estimate-eps-inf"),
         pytest.param("a b 1e300\nb c\n", ["kernel", "--t", "0.1", *_UNIF],
                      "largest weighted degree 1e+300", id="kernel-huge-weight"),
         pytest.param("a b\nb c\n", ["kernel", "--t", "1e300", *_UNIF],
@@ -1111,9 +1111,8 @@ def test_estimate_inf_sample_flags_its_pair(capsys, tmp_path):
     [
         (["--t0", "-1"], "t0 must be positive"),
         (["--levels", "1"], "levels must be at least 2"),
-        ([*_UNIF, "--eps", "-1"], "eps must be positive"),
     ],
-    ids=["t0", "levels", "eps"],
+    ids=["t0", "levels"],
 )
 def test_estimate_options_checked_on_a_graph_without_pairs(
     capsys, tmp_path, text, options, expect
@@ -1123,12 +1122,12 @@ def test_estimate_options_checked_on_a_graph_without_pairs(
     assert expect in err
 
 
-_EPS_COMMANDS = [["kernel", *_PATH_AC, "--t", "1"], ["estimate", *_PATH_AC]]
+_EPS_COMMANDS = [["kernel", *_PATH_AC, "--t", "1"]]
 
 
 @pytest.mark.parametrize("command", _EPS_COMMANDS, ids=lambda c: c[0])
 def test_negative_infinite_eps_message(capsys, tmp_path, command):
-    # both commands check "positive" before "finite"; estimate once said "finite"
+    # "positive" is checked before "finite"
     err = rejected_graph_stderr(capsys, tmp_path, [*command, *_UNIF, "--eps=-inf"], "a b\nb c\n")
     assert err == "error: eps must be positive, got -inf\n"
 
@@ -1149,7 +1148,19 @@ def test_eps_with_uniformization_accepted(capsys, tmp_path, command):
         capsys, [command[0], "--graph", str(p), *command[1:], *_UNIF, "--eps", "1e-12"]
     )
     assert (code, err) == (0, "")
-    assert out.splitlines()[1].startswith("1.0,a,c," if command[0] == "kernel" else "a,c,2,1,")
+    assert out.splitlines()[1].startswith("1.0,a,c,")
+
+
+@pytest.mark.numpy_free
+@pytest.mark.parametrize("method", ["spectral", "uniformization"])
+def test_estimate_has_no_eps_option(capsys, two_component_file, method):
+    # the sampler always sums to the positivity floor: a looser tail bound
+    # only turned reachable pairs into blank or false "unreachable" rows
+    with pytest.raises(SystemExit) as exc_info:
+        main(["estimate", "--graph", two_component_file, "--method", method, "--eps", "1e-6"])
+    captured = capsys.readouterr()
+    assert (exc_info.value.code, captured.out) == (2, "")
+    assert "unrecognized arguments: --eps 1e-6" in captured.err
 
 
 def test_missing_required_t_flag(grid_file):
@@ -1243,6 +1254,27 @@ def test_readme_cli_examples_print_what_the_readme_shows(capsys, tmp_path, monke
         assert run_cli(capsys, argv) == (0, "".join(f"{line}\n" for line in shown), ""), argv
         subcommands.append(argv[0])
     assert subcommands == ["series", "paths", "estimate"]
+
+
+@pytest.mark.numpy_free
+def test_readme_synopsis_names_every_option_of_each_subcommand():
+    # each "graphheat <sub> ..." line under "Command line" names the options
+    # that build_parser() gives <sub>, all but --output
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    named = {
+        line.split()[1]: set(re.findall(r"--[a-z][a-z0-9-]*", line)) | {"--output"}
+        for line in section.splitlines()
+        if line.startswith("graphheat ")
+    }
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    options = {
+        name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert named == options
 
 
 # --- installed entry point ----------------------------------------------------

@@ -377,6 +377,35 @@ def test_product_kernel_is_the_kronecker_product_of_the_factors(g, h, t):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(
+    g=st.one_of(
+        corpus.small_factors(),
+        st.builds(corpus.random_weighted_graph, st.integers(0, 2**16), st.integers(2, 10),
+                  st.just(0.4)),
+        st.builds(corpus.product_graph, corpus.small_factors(), corpus.small_factors()),
+    ),
+    j=st.sampled_from((-4, -1, 1, 3)),
+    times=st.lists(st.sampled_from((0.0, 0.004, 0.05, 0.7, 3.0)), min_size=1, max_size=3),
+    rows=st.none() | st.lists(st.integers(0, 100), min_size=1, max_size=3),
+)
+def test_weights_scaled_by_a_power_of_two_scale_time(g, j, times, rows):
+    # Times 2^j, every weight and c scale exactly, so P = (A - D)/c + I and
+    # each c*t keep their bits: p_t of 2^j G is p_{2^j t} of G, bit for bit.
+    lam = 2.0**j
+    c = g.max_weighted_degree()
+    if c > 0:  # c*t of 250 and 900: two and five semigroup factors
+        times = [*times, 250 / c / lam, 900 / c / lam]
+    if rows is not None:
+        rows = [r % g.n for r in rows]
+    scaled = corpus.scaled_graph(g, Fraction(2) ** j)
+    want = kernel_uniformization(g, [lam * t for t in times], rows=rows)
+    got = kernel_uniformization(scaled, times, rows=rows)
+    for t, K, W in zip(times, got, want):
+        assert np.array_equal(K, W)
+        assert np.array_equal(kernel_uniformization(scaled, t, rows=rows), W)
+
+
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(
     g=corpus.small_factors(),

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import corpus
 from graphheat import (
@@ -217,3 +218,20 @@ def test_path_identity_recovers_geodesic_counts(seed):
             for k in range(d):
                 below = spectral_path_identity(dec, x, y, k)
                 assert abs(below) <= 1e-8 * np.linalg.norm(L.dense) ** max(k, 1)
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(g=corpus.small_factors(), h=corpus.small_factors())
+def test_product_spectrum_is_the_sums_of_the_factor_spectra(g, h):
+    # A - D of g □ h is the Kronecker sum of the factors', so its eigenvalues
+    # are the sums lambda_i + mu_j.  eigh's eigenvalues are those of a matrix
+    # within n*eps*||A - D|| of its input, ||A - D|| <= 2c (each row's
+    # absolute sum), and by Weyl's inequality that moves none by more.  Three
+    # decompositions and the sums: k = 4 such terms, each at most the
+    # product's, whose n and c are the largest.
+    gh = corpus.product_graph(g, h)
+    got = eigendecompose(kirchhoff_matrix(gh)).lambdas
+    lg, lh = (eigendecompose(kirchhoff_matrix(f)).lambdas for f in (g, h))
+    want = np.sort(np.add.outer(lg, lh), axis=None)
+    bound = 4 * gh.n * np.finfo(float).eps * 2 * gh.max_weighted_degree()
+    np.testing.assert_allclose(got, want, rtol=0, atol=bound)

@@ -2,17 +2,27 @@
 
 Every entry a caller reads keeps its exact value whatever read orders it
 passes, and all-pairs verification updates each vertex at most twice per
-source.  This module imports no numpy.
+source.  The walk's order-(d+1) entries match their closed form.  This
+module imports no numpy.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpus
-from graphheat import Graph, bfs_profile, parse_edge_list, series, verification, walk_vectors
+from graphheat import (
+    Graph,
+    bfs_profile,
+    is_bipartite,
+    parse_edge_list,
+    series,
+    verification,
+    walk_vectors,
+)
 from graphheat.cli import main
 
 pytestmark = pytest.mark.numpy_free
@@ -61,6 +71,45 @@ def test_read_orders_keep_every_read_entry_exact(case):
                 assert u[v] == exact
             else:  # not read: exact, or never updated
                 assert u[v] in (0, exact)
+
+
+def assert_second_order_closed_form(g: Graph) -> None:
+    """Every reachable pair's ``(A - D)^{d+1}[x, y]`` off the walk equals
+    ``W - S``, and ``W`` vanishes on a bipartite graph."""
+    bipartite = is_bipartite(g) is not None
+    for x in range(g.n):
+        W, S = corpus.second_order_walk_weights(g, x)
+        dist = bfs_profile(g, x).dist
+        k = max(d for d in dist if d is not None) + 1
+        us, dens = walk_vectors(g, x, k)
+        for y, d in enumerate(dist):
+            if d is None:
+                assert W[y] is S[y] is None
+                continue
+            # us[k][y] / dens[k] = (A - D)^k[x, y] / k!
+            assert Fraction(us[d + 1][y] * math.factorial(d + 1), dens[d + 1]) == W[y] - S[y]
+            # no edge inside a BFS layer, so (d+1)! c_{d+1} = -S < 0 unless x is isolated
+            assert not (bipartite and W[y])
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: corpus.grid_graph(6, 6), id="grid6x6"),
+    pytest.param(lambda: corpus.random_weighted_gnm(3, 20, 45), id="weighted-gnm"),
+    pytest.param(lambda: corpus.complete_graph(5), id="K5"),
+    pytest.param(lambda: corpus.cycle_graph(7), id="C7"),
+])
+def test_second_order_coefficient_closed_form(build):
+    assert_second_order_closed_form(build())
+
+
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(st.one_of(
+    corpus.small_factors(),
+    st.builds(corpus.product_graph, corpus.small_factors(), corpus.small_factors()),
+    st.builds(corpus.interleaved_grids, st.integers(1, 3), st.integers(1, 3)),
+))
+def test_second_order_closed_form_on_corpus_and_product_graphs(g):
+    assert_second_order_closed_form(g)
 
 
 def test_verify_updates_each_vertex_at_most_twice_per_source(capsys, tmp_path, monkeypatch):
