@@ -93,10 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 # --- formatting helpers -----------------------------------------------------
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v) + 0.0)  # + 0.0 normalizes -0.0
-
-
 def _resolve_pairs(
     g: Graph,
     explicit: list[list[str]] | None,
@@ -216,8 +212,6 @@ def __getattr__(name: str):
 
 def run(args: argparse.Namespace) -> int:
     """Execute one parsed invocation; returns the process exit status."""
-    if getattr(args, "eps", None) is not None and args.method != "uniformization":
-        raise ValueError("--eps applies only to --method uniformization")
     command = _EXACT_COMMANDS.get(args.subcommand)
     if command is None:  # kernel, spectrum or estimate
         from .float_commands import COMMANDS

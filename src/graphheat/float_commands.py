@@ -16,9 +16,13 @@ import sys
 # rebound it.  Imported with this module, before the graph is parsed: compiled
 # after it, ``estimate`` raised its peak resident set by about 0.07 MiB.
 from . import varadhan
-from .cli import _csv_fields, _fmt_float, _resolve_pairs
+from .cli import _csv_fields, _resolve_pairs
 from .errors import NoConvergence, PositivityFloor
 from .graphs import Graph
+
+
+def _fmt_float(v: float) -> str:
+    return repr(float(v) + 0.0)  # + 0.0 normalizes -0.0
 
 
 def _cmd_kernel(g: Graph, args: argparse.Namespace):
@@ -26,21 +30,23 @@ def _cmd_kernel(g: Graph, args: argparse.Namespace):
     from .spectral import eigendecompose, kirchhoff_matrix
 
     pairs = None if args.pair is None else _resolve_pairs(g, args.pair, include_diagonal=True)
-    eps = DEFAULT_EPS if args.eps is None else args.eps
-    sources = None
     at = pairs
-    if args.method == "uniformization" and pairs is not None:
-        # Sum only the rows read.  The row block is not symmetric, so every
-        # pair is read at its smaller end and (x, y), (y, x) print one value.
-        sources = sorted({min(pair) for pair in pairs})
-        row_of = {x: i for i, x in enumerate(sources)}
-        at = [(row_of[min(pair)], max(pair)) for pair in pairs]
     # Every kernel is made before the first row, so a bad --t raises first;
     # T kernels of n^2 floats are far smaller than their rows.
     if args.method == "spectral":
+        if args.eps is not None:
+            raise ValueError("--eps applies only to --method uniformization")
         dec = eigendecompose(kirchhoff_matrix(g))
         kernels = [kernel_spectral(dec, t) for t in args.t_values]
     else:
+        sources = None
+        if pairs is not None:
+            # Sum only the rows read.  The row block is not symmetric, so every
+            # pair is read at its smaller end and (x, y), (y, x) print one value.
+            sources = sorted({min(pair) for pair in pairs})
+            row_of = {x: i for i, x in enumerate(sources)}
+            at = [(row_of[min(pair)], max(pair)) for pair in pairs]
+        eps = DEFAULT_EPS if args.eps is None else args.eps
         kernels = kernel_uniformization(g, args.t_values, eps, rows=sources)  # one pass
     # A block of rows per source; times and repr'd floats need no quoting.
     labels = _csv_fields(g.labels)

@@ -34,25 +34,10 @@ if TYPE_CHECKING:
 
 
 def _fraction() -> type[Fraction]:
-    """``fractions.Fraction``, imported at the first weighted use.
+    """``fractions.Fraction``, imported at the first weighted use."""
+    from fractions import Fraction
 
-    It is bound as this module's global ``Fraction`` and read from there at
-    every later use, so rebinding ``graphs.Fraction`` reaches every caller.
-    """
-    global Fraction
-    try:
-        return Fraction
-    except NameError:
-        from fractions import Fraction
-
-        return Fraction
-
-
-def __getattr__(name: str):
-    # ``graphs.Fraction`` stays readable before the first weighted use.
-    if name == "Fraction":
-        return _fraction()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return Fraction
 
 
 class Graph:

@@ -72,7 +72,8 @@ def kernel_spectral(dec: SpectralDecomposition, t: float) -> np.ndarray:
     else:
         w = np.exp(dec.mu * t)
         K = (dec.V * w) @ dec.V.T
-        K = 0.5 * (K + K.T)
+        K = K + K.T  # as 0.5 * (K + K.T), one n x n array fewer
+        K *= 0.5
     K.setflags(write=False)
     return K
 
@@ -83,14 +84,14 @@ def _tail_is_below(w: float, ct: float, eps: float, k: int) -> bool:
 
 
 def _poisson_series(
-    P: np.ndarray, B: np.ndarray, terms: list[tuple[float, float]]
+    P: np.ndarray, B: np.ndarray, cts: list[float], eps: float
 ) -> list[np.ndarray]:
-    """Sum ``e^{-ct} sum_k (ct)^k / k! B P^k`` for each ``(ct, eps)`` of ``terms``.
+    """Sum ``e^{-ct} sum_k (ct)^k / k! B P^k`` for each ct of ``cts``.
 
     Poisson weights are accumulated by the exact recurrence
     ``w_{k+1} = w_k * ct / (k+1)``.  Once ``k + 2 > ct`` the remaining mass is
     bounded by the geometric tail ``w_{k+1} / (1 - ct/(k+2))``; a sum stops
-    when that bound drops below its eps.  This terminates for any eps > 0 (the
+    when that bound drops below eps.  This terminates for any eps > 0 (the
     weights eventually underflow to zero) — an "accumulate until the partial
     sums reach 1 - eps" test would stall near machine precision instead.
     Every row of ``B`` is a unit vector of the standard basis, so the bound
@@ -101,23 +102,23 @@ def _poisson_series(
     order, and stops at the term, that a pass of its own would, so it has the
     bits of that pass.
     """
-    ws = [math.exp(-ct) for ct, _ in terms]
+    ws = [math.exp(-ct) for ct in cts]
     sums = [w * B for w in ws]
     # Two buffers take turns: each product is written into the spare one,
     # and the spare then holds every w * M of that term.  The start block is
     # the caller's to give up, so it becomes one; the first product makes the other.
     M, spare = B, None
     del B
-    live = range(len(terms))
+    live = range(len(cts))
     k = 0
     while True:
-        live = [j for j in live if not _tail_is_below(ws[j], *terms[j], k)]
+        live = [j for j in live if not _tail_is_below(ws[j], cts[j], eps, k)]
         if not live:
             return sums
         k += 1
         M, spare = np.matmul(M, P, out=spare), M
         for j in live:
-            ws[j] *= terms[j][0] / k
+            ws[j] *= cts[j] / k
             sums[j] += np.multiply(M, ws[j], out=spare)
 
 
@@ -190,26 +191,23 @@ def kernel_uniformization(
     n = g.n
     if rows is not None:
         rows = list(rows)  # a tuple would index as one (row, column) entry
-    kernels: list[np.ndarray] = [None] * len(times)
-    shared = []  # (index, c*t) of the times summed in one pass
     cts = [c * s for s in times]
     P = _latest_shifted_matrix(g) if any(cts) else None  # a sum at c*t = 0 reads no P
-    for i, ct in enumerate(cts):
-        steps = max(1, math.ceil(ct / _MAX_POISSON_MEAN))
-        if steps == 1:
-            shared.append((i, ct))
-            continue
-        (factor,) = _poisson_series(P, np.eye(n), [(ct / steps, eps / steps)])
-        K = factor if rows is None else factor[rows]
-        for _ in range(steps - 1):
-            K = K @ factor
-        kernels[i] = K
-    if shared:
-        sums = _poisson_series(P, _unit_rows(n, rows), [(ct, eps) for _, ct in shared])
-        for (i, _), K in zip(shared, sums):
-            kernels[i] = K
-        del sums  # each sum is replaced by its symmetrized copy below
-    for i, K in enumerate(kernels):
+    # One pass sums every time that needs no split, in order; each sum is
+    # popped as its kernel is made, so its symmetrized copy replaces it.
+    sums = _poisson_series(
+        P, _unit_rows(n, rows), [ct for ct in cts if ct <= _MAX_POISSON_MEAN], eps
+    )[::-1]
+    kernels = []
+    for ct in cts:
+        if ct <= _MAX_POISSON_MEAN:
+            K = sums.pop()
+        else:
+            steps = math.ceil(ct / _MAX_POISSON_MEAN)
+            (factor,) = _poisson_series(P, np.eye(n), [ct / steps], eps / steps)
+            K = factor if rows is None else factor[rows]
+            for _ in range(steps - 1):
+                K = K @ factor
         if rows is None:
             # The average of two nonnegative matrices stays nonnegative, and
             # the identity keeps its bits.  One new array, where
@@ -217,5 +215,5 @@ def kernel_uniformization(
             K = K + K.T
             K *= 0.5
         K.setflags(write=False)
-        kernels[i] = K
+        kernels.append(K)
     return kernels[0] if single else tuple(kernels)

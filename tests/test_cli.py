@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import corpus
 from graphheat import VaradhanReport, bfs_profile, parse_edge_list
-from graphheat import cli, series, varadhan, verification
+from graphheat import cli, float_commands, series, varadhan, verification
 from graphheat.cli import main
 
 try:
@@ -115,9 +115,9 @@ def test_uniformization_kernel_pairs_sum_only_their_rows(capsys, monkeypatch):
     block_rows = []
     real = kernels._poisson_series
 
-    def recording(P, B, terms):
+    def recording(P, B, cts, eps):
         block_rows.append(B.shape[0])
-        return real(P, B, terms)
+        return real(P, B, cts, eps)
 
     monkeypatch.setattr(kernels, "_poisson_series", recording)
     code, out, _ = run_cli(
@@ -165,7 +165,7 @@ def test_kernel_rows_are_what_csv_writer_prints(capsys, tmp_path, method):
             K = kernel_uniformization(g, float(t))
         for x in range(g.n):
             for y in range(x, g.n):
-                writer.writerow([t, g.labels[x], g.labels[y], cli._fmt_float(K[x, y])])
+                writer.writerow([t, g.labels[x], g.labels[y], float_commands._fmt_float(K[x, y])])
     assert '"a,b","q""x",' in out
     assert out == want.getvalue()
 
@@ -208,7 +208,7 @@ def test_rows_quote_like_csv_writer(capsys, tmp_path, text, subcommand):
 
         writer.writerow(["k", "lambda"])
         for k, lam in enumerate(eigendecompose(kirchhoff_matrix(g)).lambdas):
-            writer.writerow([k + 1, cli._fmt_float(lam)])
+            writer.writerow([k + 1, float_commands._fmt_float(lam)])
     elif subcommand == "series":
         writer.writerow(["x_label", "y_label", "k", "numerator", "denominator"])
         for x in range(g.n):
@@ -307,7 +307,7 @@ def test_kernel_rows_print_what_fmt_float_prints(capsys, tmp_path, monkeypatch):
         want = [(x, y) for x, y in pairs if argv or x <= y]
         assert [row[1:3] for row in rows] == [[labels[x], labels[y]] for x, y in want]
         for row, (x, y) in zip(rows, want):
-            assert row[3] == cli._fmt_float(K[x, y])
+            assert row[3] == float_commands._fmt_float(K[x, y])
         printed = {row[3] for row in rows}
         assert printed == {"0.0", *map(repr, values[1:])}
         assert "-0.0" not in out
@@ -437,6 +437,12 @@ def test_series_golden_rows(capsys, grid_file):
         "a0,b1,2,1,1",
         "a0,b1,3,-5,2",
     ]
+
+
+@pytest.mark.numpy_free
+def test_series_negative_max_order_rejected(capsys, grid_file):
+    code, out, err = run_cli(capsys, ["series", "--graph", grid_file, "--max-order", "-1"])
+    assert (code, out, err) == (2, "", "error: --max-order must be nonnegative, got -1\n")
 
 
 def test_series_default_covers_all_pairs_with_diagonal(capsys, grid_file):
@@ -850,9 +856,9 @@ def test_estimate_builds_dyadic_levels_in_doubling_blocks(capsys, monkeypatch, t
     passes, asked = [], set()
     real_series, real_sampler = kernels._poisson_series, varadhan.uniformization_sampler
 
-    def counting_series(P, B, terms):
-        passes.append(len(terms))
-        return real_series(P, B, terms)
+    def counting_series(P, B, cts, eps):
+        passes.append(len(cts))
+        return real_series(P, B, cts, eps)
 
     def recording_sampler(*args, **kwargs):
         sampler = real_sampler(*args, **kwargs)
@@ -1138,6 +1144,17 @@ def test_eps_without_uniformization_rejected(capsys, tmp_path, command, eps):
     # the spectral engine has no tail bound; these once exited 0 and ignored --eps
     err = rejected_graph_stderr(capsys, tmp_path, [*command, "--eps", eps], "a b\nb c\n")
     assert err == "error: --eps applies only to --method uniformization\n"
+
+
+def test_spectral_kernel_reports_a_graph_or_label_error_before_eps(capsys, tmp_path):
+    # --eps is kernel's own rule, checked once the graph and the pairs are read
+    argv = ["kernel", "--t", "1", "--eps", "1e-3"]
+    err = rejected_graph_stderr(capsys, tmp_path, [*argv, "--pair", "zz", "a"], "a b\nb c\n")
+    assert err == "error: unknown vertex label 'zz'\n"
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(capsys, [argv[0], "--graph", str(missing), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory")
 
 
 @pytest.mark.parametrize("command", _EPS_COMMANDS, ids=lambda c: c[0])

@@ -107,7 +107,7 @@ def test_each_weight_literal_is_parsed_once(monkeypatch):
                 texts.append(value)
             return Fraction(value, *args)
 
-    monkeypatch.setattr(graphs, "Fraction", Counting)
+    monkeypatch.setattr(graphs, "_fraction", lambda: Counting)
     literals = ["1/2", "2.5", "7"]
     text = "".join(f"v{i} v{i + 1} {literals[i % 3]}\n" for i in range(1000))
     g = parse_edge_list(text)
@@ -211,6 +211,17 @@ def test_constructor_rejects_duplicate_edge_either_orientation(edges):
 def test_constructor_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         Graph(2, [], labels=["x", "x"])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(-1), "vertex count must be nonnegative, got -1"),
+    (lambda: Graph(2, labels=["a"]), "expected 2 labels, got 1"),
+    (lambda: bfs_profile(corpus.path_graph(3), 3), "vertex 3 out of range for 3 vertices"),
+], ids=["negative-n", "short-labels", "bfs-source"])
+def test_bad_vertex_count_labels_or_source_rejected(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert str(exc_info.value) == message
 
 
 def test_constructor_rejects_nonpositive_weight():

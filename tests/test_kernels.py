@@ -364,17 +364,33 @@ def test_shared_pass_has_the_bits_of_one_pass_per_time(name, times, eps, rows):
         assert np.array_equal(kernel_uniformization(g, t, eps, rows), want)
 
 
-@settings(deadline=None, max_examples=40, derandomize=True)
+@settings(deadline=None, max_examples=80, derandomize=True)
 @given(
     g=corpus.small_factors(),
     h=corpus.small_factors(),
     t=st.sampled_from((0.0, 0.05, 0.7, 3.0)),
+    kernel=st.sampled_from((kernel_uniformization, spectral)),
 )
-def test_product_kernel_is_the_kronecker_product_of_the_factors(g, h, t):
+def test_product_kernel_is_the_kronecker_product_of_the_factors(g, h, t, kernel):
     # A - D of the product is the Kronecker sum of the factors', so p_t factors
-    want = np.kron(kernel_uniformization(g, t), kernel_uniformization(h, t))
-    got = kernel_uniformization(corpus.product_graph(g, h), t)
+    want = np.kron(kernel(g, t), kernel(h, t))
+    got = kernel(corpus.product_graph(g, h), t)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("method", ["spectral", "uniformization"])
+def test_kernel_command_on_a_product_prints_the_kronecker_product(capsys, tmp_path, method):
+    g = corpus.small_factor("cycle", 3, 0, weighted=True)
+    h = corpus.small_factor("connected", 4, 5, weighted=False)
+    p = tmp_path / "product.txt"
+    p.write_text(corpus.edge_list_text(corpus.product_graph(g, h)), encoding="utf-8")
+    kernel = spectral if method == "spectral" else kernel_uniformization
+    want = np.kron(kernel(g, 0.7), kernel(h, 0.7))
+    assert main(["kernel", "--graph", str(p), "--t", "0.7", "--method", method]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == len(want) * (len(want) + 1) // 2  # every pair x <= y
+    for _, x, y, value in rows:  # a label is the vertex number product_graph gave
+        assert abs(float(value) - want[int(x), int(y)]) <= 1e-11
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)

@@ -205,6 +205,13 @@ def test_path_identity_grid_golden():
     assert spectral_path_identity(dec, a, c, 3) == pytest.approx(3.0, abs=1e-8)
 
 
+def test_path_identity_rejects_a_negative_power():
+    _, dec = decompose(corpus.path_graph(3))
+    with pytest.raises(ValueError) as exc_info:
+        spectral_path_identity(dec, 0, 1, -1)
+    assert str(exc_info.value) == "power must be nonnegative, got -1"
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_path_identity_recovers_geodesic_counts(seed):
     g = corpus.random_connected_graph(500 + seed, 12, 0.3)

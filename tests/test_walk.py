@@ -178,3 +178,33 @@ def test_a_wrong_distance_fails_its_row(capsys, tmp_path, monkeypatch):
             assert got[row][8] == "fail"  # c_d is not 0
         else:  # reads c_(d-1) = 0 as leading and c_d next
             assert got[row][4:8] == ["0", "1", *leading]
+
+
+def test_a_positive_next_coefficient_fails_the_bipartite_sign(capsys, tmp_path, monkeypatch):
+    # on a bipartite graph the order-(d+1) coefficient is negative; negated,
+    # it makes only the sign verdict fail
+    p = tmp_path / "path.txt"
+    p.write_text("a b\nb c\n", encoding="utf-8")
+    real = verification.walk_vectors
+
+    def negated(g, x, depth, last):
+        us, dens = real(g, x, depth, last)
+        us[depth] = [-v for v in us[depth]]  # depth is d + 1 for the one target
+        return us, dens
+
+    monkeypatch.setattr(verification, "walk_vectors", negated)
+    assert main(["verify", "--graph", str(p), "--pair", "a", "c"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == "a,c,2,1,1,2,2,3,pass,pass,fail"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: series.laplacian_apply(g, [1, 0]), "vector length 2 != vertex count 3"),
+    (lambda g: walk_vectors(g, 0, 2, last=[2, 2]), "2 read orders for 3 vertices"),
+    (lambda g: series.series_prefix(g, 0, 3, 2), "vertex pair (0, 3) out of range for 3 vertices"),
+    (lambda g: series.kernel_taylor_coefficient(g, -1, 0, 1),
+     "vertex pair (-1, 0) out of range for 3 vertices"),
+], ids=["laplacian-apply", "walk-last", "series-prefix", "taylor-coefficient"])
+def test_walk_inputs_of_the_wrong_size_rejected(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call(corpus.path_graph(3))
+    assert str(exc_info.value) == message
