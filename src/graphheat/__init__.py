@@ -20,7 +20,6 @@ _NAMES = {
         "GraphHeatError",
         "NoConvergence",
         "ParseError",
-        "PositivityFloor",
         "SelfLoopError",
         "UnknownVertexError",
         "UnreachableError",

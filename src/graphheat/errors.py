@@ -48,16 +48,13 @@ class UnreachableError(GraphHeatError):
 
 
 class NoConvergence(GraphHeatError):
-    """The distance estimator exhausted its refinement levels.
+    """The distance estimator gave up on a pair.
 
-    ``exponent_trace`` holds the raw dyadic exponent estimates seen so far,
-    which is usually enough to diagnose why stability was never reached.
+    Samples died before the distance was fixed, a sample was inf, no
+    exponent stabilized, or the count read was below 1.  ``exponent_trace``
+    holds the raw dyadic exponent estimates made before giving up.
     """
 
     def __init__(self, message: str, exponent_trace: tuple[float, ...] = ()):
         super().__init__(message)
         self.exponent_trace = tuple(exponent_trace)
-
-
-class PositivityFloor(GraphHeatError):
-    """Kernel samples fell below the positivity floor mid-refinement."""

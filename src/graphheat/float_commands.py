@@ -17,7 +17,7 @@ import sys
 # after it, ``estimate`` raised its peak resident set by about 0.07 MiB.
 from . import varadhan
 from .cli import _csv_fields, _resolve_pairs
-from .errors import NoConvergence, PositivityFloor
+from .errors import NoConvergence
 from .graphs import Graph
 
 
@@ -104,7 +104,7 @@ def _cmd_estimate(g: Graph, args: argparse.Namespace):
         head = f"{labels[x]},{labels[y]},"
         try:
             est = varadhan.estimate_pair(sampler, x, y, t0=t0, levels=args.levels)
-        except (NoConvergence, PositivityFloor):
+        except NoConvergence:
             yield f"{head},,,false\n"
             continue
         if est.unreachable:

@@ -15,7 +15,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
-from .errors import NoConvergence, PositivityFloor
+from .errors import NoConvergence
 from .graphs import Graph
 
 # The annotations are never evaluated, so ``typing`` loads only for a type
@@ -120,9 +120,9 @@ def estimate_pair(
     The estimate is scale-invariant: multiplying the sampler by a constant
     shifts no exponent estimate.
 
-    Raises :class:`NoConvergence` when the levels are exhausted without a
-    stable exponent or a sample is inf, and :class:`PositivityFloor` when
-    samples die below the floor after having been live.
+    Raises :class:`NoConvergence`, carrying the exponent estimates made, when
+    live samples die before the distance is fixed, a sample is inf, no
+    exponent stabilizes within the levels, or the count read is below 1.
     """
     check_schedule(t0, levels)
     # Rounding is half-up, math.floor(v + 0.5): plain round() is
@@ -139,8 +139,9 @@ def estimate_pair(
             if prev is None:
                 continue
             if d_hat is None:
-                raise PositivityFloor(
-                    f"sample at t={t:.3e} fell to {p:.3e} before the exponent stabilized"
+                raise NoConvergence(
+                    f"sample at t={t:.3e} fell to {p:.3e} before the exponent stabilized",
+                    tuple(trace),
                 )
             break  # deeper samples are below resolution; keep the current read
         if p == math.inf:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from graphheat import Graph, bfs_profile, parse_edge_list
-from graphheat.errors import NoConvergence, PositivityFloor
+from graphheat.errors import NoConvergence
 from graphheat.varadhan import (
     COUNT_TOL,
     EXPONENT_TOL,
@@ -448,8 +448,9 @@ def estimate_pair_two_phase(
         alive = p > POSITIVITY_FLOOR
         samples.append(p)
         if not alive and any_alive:
-            raise PositivityFloor(
-                f"sample at t={t:.3e} fell to {p:.3e} before the exponent stabilized"
+            raise NoConvergence(
+                f"sample at t={t:.3e} fell to {p:.3e} before the exponent stabilized",
+                tuple(trace),
             )
         if alive and any_alive:  # no dead sample follows a live one
             trace.append(math.log(samples[j - 1] / p) / math.log(2.0))

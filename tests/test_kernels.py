@@ -380,17 +380,27 @@ def test_product_kernel_is_the_kronecker_product_of_the_factors(g, h, t, kernel)
 
 @pytest.mark.parametrize("method", ["spectral", "uniformization"])
 def test_kernel_command_on_a_product_prints_the_kronecker_product(capsys, tmp_path, method):
+    # With --pair, uniformization sums only the rows read and reads each pair
+    # at its smaller end, so both orders of a pair print one value.
     g = corpus.small_factor("cycle", 3, 0, weighted=True)
     h = corpus.small_factor("connected", 4, 5, weighted=False)
     p = tmp_path / "product.txt"
     p.write_text(corpus.edge_list_text(corpus.product_graph(g, h)), encoding="utf-8")
     kernel = spectral if method == "spectral" else kernel_uniformization
     want = np.kron(kernel(g, 0.7), kernel(h, 0.7))
-    assert main(["kernel", "--graph", str(p), "--t", "0.7", "--method", method]) == 0
-    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-    assert len(rows) == len(want) * (len(want) + 1) // 2  # every pair x <= y
-    for _, x, y, value in rows:  # a label is the vertex number product_graph gave
-        assert abs(float(value) - want[int(x), int(y)]) <= 1e-11
+    for pairs in (None, [("13", "2"), ("2", "13"), ("0", "19"), ("7", "7")]):
+        argv = ["kernel", "--graph", str(p), "--t", "0.7", "--method", method]
+        for pair in pairs or ():
+            argv += ["--pair", *pair]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        if pairs is None:
+            assert len(rows) == len(want) * (len(want) + 1) // 2  # every pair x <= y
+        else:
+            assert [(x, y) for _, x, y, _ in rows] == pairs
+            assert rows[0][3] == rows[1][3]
+        for _, x, y, value in rows:  # a label is the vertex number product_graph gave
+            assert abs(float(value) - want[int(x), int(y)]) <= 1e-11
 
 
 @settings(deadline=None, max_examples=60, derandomize=True)

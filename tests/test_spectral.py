@@ -1,6 +1,8 @@
 """Kirchhoff matrix assembly and the LAPACK (``eigh``) eigendecomposition."""
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from graphheat import (
     kirchhoff_matrix,
     spectral_path_identity,
 )
+from graphheat.cli import main
 
 
 def decompose(g: Graph) -> tuple[KirchhoffMatrix, SpectralDecomposition]:
@@ -242,3 +245,32 @@ def test_product_spectrum_is_the_sums_of_the_factor_spectra(g, h):
     want = np.sort(np.add.outer(lg, lh), axis=None)
     bound = 4 * gh.n * np.finfo(float).eps * 2 * gh.max_weighted_degree()
     np.testing.assert_allclose(got, want, rtol=0, atol=bound)
+
+
+def _printed_spectrum(g: Graph) -> np.ndarray:
+    """The eigenvalues ``spectrum`` prints for ``g`` written as an edge list."""
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, report = Path(tmp) / "graph.txt", Path(tmp) / "spectrum.csv"
+        graph.write_text(corpus.edge_list_text(g), encoding="utf-8")
+        assert main(["spectrum", "--graph", str(graph), "--output", str(report)]) == 0
+        header, *lines = report.read_text(encoding="utf-8").splitlines()
+    assert header == "k,lambda"
+    return np.array([float(line.split(",")[1]) for line in lines])
+
+
+# An edge list cannot hold an isolated vertex, so every factor vertex has an edge.
+_edge_covered_factors = corpus.small_factors().filter(
+    lambda g: g.n > 1 and len({v for e in g.edges for v in e}) == g.n
+)
+
+
+@settings(deadline=None, max_examples=40, derandomize=True)
+@given(g=_edge_covered_factors, h=_edge_covered_factors)
+def test_spectrum_command_on_a_product_prints_the_sums_of_the_factor_spectra(g, h):
+    # As above, with every spectrum as the CLI prints it.  The parser renumbers
+    # the vertices, which permutes A - D: no exact eigenvalue moves, and each
+    # computed one stays within the same bound of it.
+    gh = corpus.product_graph(g, h)
+    want = np.sort(np.add.outer(_printed_spectrum(g), _printed_spectrum(h)), axis=None)
+    bound = 4 * gh.n * np.finfo(float).eps * 2 * gh.max_weighted_degree()
+    np.testing.assert_allclose(_printed_spectrum(gh), want, rtol=0, atol=bound)

@@ -13,7 +13,6 @@ from graphheat import (
     Graph,
     NoConvergence,
     POSITIVITY_FLOOR,
-    PositivityFloor,
     UnreachableError,
     bfs_profile,
     estimate_pair,
@@ -292,7 +291,7 @@ def test_no_convergence_on_fractional_exponent():
 def test_positivity_floor_on_dying_samples():
     # live power-law samples that cut out below t = 1e-4
     sampler = lambda t, x, y: t**2.5 if t > 1e-4 else 0.0
-    with pytest.raises(PositivityFloor):
+    with pytest.raises(NoConvergence, match="before the exponent stabilized"):
         estimate_pair(sampler, 0, 1, t0=0.1, levels=20)
 
 
@@ -302,6 +301,29 @@ def test_count_below_one_is_rejected():
     sampler = lambda t, x, y: 0.1 * t**2
     with pytest.raises(NoConvergence):
         estimate_pair(sampler, 0, 1, t0=0.1, levels=10)
+
+
+_GIVE_UPS = {
+    # samples scripted per level j (t = 0.1 * 2^-j), the number of exponent
+    # estimates made before giving up, and the message
+    "dead before d": ([0.1**2.5 * 2**(-2.5 * j) for j in range(4)] + [0.0] * 5, 3,
+                      "fell to 0.000e\\+00 before the exponent stabilized"),
+    "inf": ([0.01, 0.0025, math.inf, 1e-5, 1e-6], 1, "is inf"),
+    "no stable exponent": ([0.1**2.5 * 2**(-2.5 * j) for j in range(6)], 5,
+                           "no stable exponent after 5 refinement levels"),
+    "count below 1": ([0.1 * (0.1 * 2**-j) ** 2 for j in range(11)], 3, "is below 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GIVE_UPS))
+def test_every_give_up_is_no_convergence_with_its_trace(case):
+    values, made, match = _GIVE_UPS[case]
+    levels = len(values) - 1
+    sampler = lambda t, x, y: values[round(math.log2(0.1 / t))]
+    with pytest.raises(NoConvergence, match=match) as exc_info:
+        estimate_pair(sampler, 0, 1, t0=0.1, levels=levels)
+    want = tuple(math.log(values[j] / values[j + 1]) / math.log(2.0) for j in range(made))
+    assert exc_info.value.exponent_trace == want
 
 
 def test_estimate_makes_only_the_sample_times_it_uses():
@@ -363,6 +385,39 @@ def test_estimates_match_bfs_on_small_trees(seed):
         assert not est.unreachable
         assert est.d_hat == profile.dist[y]
         assert est.n_hat == profile.geodesic_count[y]
+
+
+_unweighted_factors = corpus.small_factors().map(lambda g: Graph(g.n, g.edges))
+
+
+@pytest.mark.parametrize("method", ["spectral", "uniformization"])
+@settings(deadline=None, max_examples=100, derandomize=True)
+@given(g=_unweighted_factors, h=_unweighted_factors)
+def test_estimate_on_a_product_adds_the_factor_distances(method, g, h):
+    # On g □ h distances add.  With the estimate command's defaults, every
+    # converged row reads d_G + d_H, every unreachable one is split across
+    # components, and uniformization flags none.  N is not asserted.
+    gh = corpus.product_graph(g, h)
+    c = gh.max_weighted_degree()
+    t0, levels = (min(0.1, 0.5 / c) if c > 0 else 0.1), 16
+    if method == "spectral":
+        sampler = spectral_sampler(gh)
+    else:
+        sampler = uniformization_sampler(gh, [t0 * 0.5**j for j in range(levels + 1)])
+    dist_g = [bfs_profile(g, a).dist for a in range(g.n)]
+    dist_h = [bfs_profile(h, b).dist for b in range(h.n)]
+    for x in range(gh.n):
+        for y in range(x + 1, gh.n):
+            dg, dh = dist_g[x // h.n][y // h.n], dist_h[x % h.n][y % h.n]
+            try:
+                est = estimate_pair(sampler, x, y, t0=t0, levels=levels)
+            except NoConvergence:
+                assert method == "spectral"
+                continue
+            if est.unreachable:
+                assert dg is None or dh is None
+            else:
+                assert est.d_hat == dg + dh
 
 
 def test_uniformization_sampler_default_eps_keeps_deep_pairs_alive():
@@ -510,7 +565,7 @@ def test_nan_sample_counts_as_dead():
     est = estimate_pair(sampler, 0, 1, t0=t0, levels=8)
     assert (est.d_hat, est.n_hat, est.t_used) == (2, 20, t0 / 16)
     assert len(est.exponent_trace) == 4
-    with pytest.raises(PositivityFloor, match="fell to nan"):
+    with pytest.raises(NoConvergence, match="fell to nan"):
         estimate_pair(lambda t, x, y: t**2 if t > t0 / 4 else math.nan, 0, 1, t0=t0)
 
 
